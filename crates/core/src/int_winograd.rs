@@ -7,9 +7,11 @@
 //!    integers),
 //! 2. each tap is re-quantized to `wino_bits` with the tap-wise scale `S_B`
 //!    (a shift when the scales are powers of two),
-//! 3. weights, pre-transformed offline with `G · f · Gᵀ` and quantized tap-wise
-//!    with `S_G`, are multiplied elementwise and accumulated over the input
-//!    channels in `i32` (the Cube Unit's batched MatMul),
+//! 3. weights, pre-transformed offline with `G · f · Gᵀ`, quantized tap-wise
+//!    with `S_G` and packed **once** into the GEMM microkernel's panel layout,
+//!    are multiplied elementwise and accumulated over the input channels in
+//!    `i32` (the Cube Unit's batched MatMul) — `i8` codes at ≤ 8
+//!    Winograd-domain bits, `i16` above,
 //! 4. the accumulator is rescaled once per tap with `S_BG` and transformed back
 //!    with the integer `Aᵀ · M · A`,
 //! 5. the spatial-domain output is re-quantized to int8.
@@ -17,16 +19,20 @@
 use crate::epilogue::{apply_epilogue, EpilogueOps};
 use crate::matrices::{TileSize, WinogradMatrices};
 use crate::quant::{QuantBits, QuantParams};
-use crate::scratch::{strip_group_len, with_tap_scratch};
+use crate::scratch::{strip_group_len, with_tap_scratch, CodePanels, Parked, StageLanes};
 use crate::tapwise::{ScaleMode, TapwiseScales};
 use crate::transform::{weight_transform, TileGrid};
 use crate::winograd::{
-    kernel_block_span, INPUT_STAGE_SYM, MERGE_SYM, OUTPUT_STAGE_SYM, TAP_GEMM_SYM,
+    kernel_block_span, thin_layer_lanes_channels, INPUT_STAGE_SYM, MERGE_SYM, OUTPUT_STAGE_SYM,
+    TAP_GEMM_SYM,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use wino_tensor::{gemm_i16_i32_into, parallel_map, simd, split_ranges, Element, Tensor};
+use std::sync::{Arc, OnceLock};
+use wino_tensor::{
+    gemm_packed_i32_into, parallel_map, simd, split_ranges, Element, PackedCode, PackedWeights,
+    Tensor,
+};
 use wino_trace::{Phase, PhaseClock, PhaseProbe};
 
 /// Largest input-tile area on the integer path (F4: `t = 6`), sizing the
@@ -120,11 +126,18 @@ pub struct IntWinogradConv {
     mats: WinogradMatrices,
     c_out: usize,
     c_in: usize,
-    /// Quantized Winograd-domain weights, `[C_out, C_in, t, t]` codes.
-    wq: Tensor<i32>,
-    /// The same codes in the tap-major GEMM layout `[tap][co][ci]` (`i16` is
-    /// exact: Winograd-domain bit-widths are at most 16).
-    wq_tap: Vec<i16>,
+    /// Quantized Winograd-domain weight codes, `[C_out, C_in, t, t]` (`i16`
+    /// is exact: Winograd-domain bit-widths are at most 16). Read only by
+    /// the per-tile reference path, and the source the channel-laned panels
+    /// are packed from.
+    wq: Tensor<i16>,
+    /// The same codes as the per-tap GEMM weight operands, packed once into
+    /// the active kernel variant's panel layout — `i8` codes at `wino_bits`
+    /// ≤ 8, `i16` above.
+    taps: TapWeights,
+    /// The integer transform matrices (boxed: the graph executor keeps
+    /// prepared layers inline in an enum).
+    int_mats: Box<IntTransforms>,
     /// Tap-wise scales of the quantized weights.
     weight_scales: Tensor<f32>,
     /// Tap-wise scales applied to the *integer* transformed input
@@ -138,6 +151,104 @@ pub struct IntWinogradConv {
     probe: Option<Arc<PhaseProbe>>,
 }
 
+/// `Bᵀ` and `Aᵀ` as integers — exact for F2/F4, whose transform matrices
+/// only contain small integers.
+#[derive(Debug, Clone)]
+struct IntTransforms {
+    /// `Bᵀ` (`t × t`, row-major).
+    bt: [i32; INT_MAX_TT],
+    /// `Aᵀ` (`m × t`, row-major).
+    at: [i32; INT_MAX_TT],
+}
+
+/// A Winograd-domain code type of the tap GEMM: `i8` or `i16`.
+trait TapCode: PackedCode + Parked<CodePanels> {
+    /// Narrows a quantized weight code (already inside `wino_bits`).
+    fn from_code(code: i16) -> Self;
+}
+
+impl TapCode for i8 {
+    fn from_code(code: i16) -> i8 {
+        code as i8
+    }
+}
+
+impl TapCode for i16 {
+    fn from_code(code: i16) -> i16 {
+        code
+    }
+}
+
+/// The `t²` per-tap GEMM weight operands in one code type.
+#[derive(Debug, Clone)]
+struct TapPanels<T> {
+    /// Left-packed `W[tap]` (`[C_out × C_in]`): the GEMM lanes over tiles,
+    /// `M[tap] = W[tap] · V[tap]`.
+    tile_lanes: Vec<PackedWeights<T>>,
+    /// Right-packed `W[tap]ᵀ` (`[C_in × C_out]`): the GEMM lanes over output
+    /// channels, `M'[tap] = V'[tap] · W'[tap]` (thin layers). Built lazily on
+    /// the first thin-layer forward — most prepared layers never run it, and
+    /// an eager copy would double every node's panel footprint.
+    channel_lanes: OnceLock<Vec<PackedWeights<T>>>,
+}
+
+impl<T: TapCode> TapPanels<T> {
+    /// Packs the tile-laned operands; the channel-laned ones wait for a
+    /// thin-layer forward.
+    fn pack(wq: &[i16], c_out: usize, c_in: usize, tt: usize) -> Self {
+        Self {
+            tile_lanes: pack_taps(wq, c_out, c_in, tt, false),
+            channel_lanes: OnceLock::new(),
+        }
+    }
+}
+
+/// The tap GEMM weights, specialised on `cfg.wino_bits`.
+#[derive(Debug, Clone)]
+enum TapWeights {
+    /// ≤ 8 Winograd-domain bits: `i8` codes (`vpdpbusd` / `sdot` /
+    /// `vpmaddwd`-pair kernels).
+    I8(TapPanels<i8>),
+    /// 9–16 bits: `i16` codes.
+    I16(TapPanels<i16>),
+}
+
+/// Packs each tap's weight matrix out of the `[C_out, C_in, t², ]` codes
+/// `wq`: left operands `[C_out × C_in]` when `channel_lanes` is false, right
+/// operands `[C_in × C_out]` otherwise.
+fn pack_taps<T: TapCode>(
+    wq: &[i16],
+    c_out: usize,
+    c_in: usize,
+    tt: usize,
+    channel_lanes: bool,
+) -> Vec<PackedWeights<T>> {
+    // One pass over the codes into tap-major row-major matrices, then one
+    // contiguous pack per tap.
+    let mut mats = vec![T::default(); wq.len()];
+    for (i, tile) in wq.chunks_exact(tt).enumerate() {
+        let (co, ci) = (i / c_in, i % c_in);
+        let at = if channel_lanes {
+            ci * c_out + co
+        } else {
+            co * c_in + ci
+        };
+        for (tap, &code) in tile.iter().enumerate() {
+            mats[tap * c_out * c_in + at] = T::from_code(code);
+        }
+    }
+    let variant = simd::active();
+    mats.chunks_exact((c_out * c_in).max(1))
+        .map(|mat| {
+            if channel_lanes {
+                PackedWeights::pack_right(variant, mat, c_in, c_out)
+            } else {
+                PackedWeights::pack_left(variant, mat, c_out, c_in)
+            }
+        })
+        .collect()
+}
+
 /// The scatter-stage emit of the tap-major pipeline, split in two so the
 /// expensive part vectorizes: [`TapEmit::stage`] requantizes one contiguous
 /// SoA lane row (the divide/round/clamp the phase profile charges to the
@@ -146,7 +257,7 @@ pub struct IntWinogradConv {
 /// the steps that need the strided global NCHW index — as each staged element
 /// is scattered to its output row.
 trait TapEmit: Sync {
-    type Out: Element;
+    type Out: Element + Parked<StageLanes>;
     /// Vectorized requantization of one tile-lane row for output channel
     /// `co`: `dst[i] = requant(src[i])`, contiguous over tiles.
     fn stage(&self, co: usize, dst: &mut [Self::Out], src: &[f32]);
@@ -291,27 +402,40 @@ impl IntWinogradConv {
         let t = mats.input_tile();
         let (c_out, c_in) = (weights.dims()[0], weights.dims()[1]);
 
-        // Offline weight transformation + tap-wise quantization, kept in both
-        // the per-tile `[co][ci][tap]` layout and the tap-major GEMM layout.
-        let mut wq = Tensor::<i32>::zeros(&[c_out, c_in, t, t]);
-        let mut wq_tap = vec![0_i16; t * t * c_out * c_in];
-        for co in 0..c_out {
-            for ci in 0..c_in {
-                let mut k = Tensor::<f32>::zeros(&[3, 3]);
-                for ky in 0..3 {
-                    for kx in 0..3 {
-                        k.set2(ky, kx, weights.at4(co, ci, ky, kx));
-                    }
-                }
-                let u = weight_transform(&k, &mats);
-                let q = scales.weight.quantize_tile(&u);
-                for r in 0..t {
-                    for c in 0..t {
-                        wq.set(&[co, ci, r, c], q.at2(r, c));
-                        wq_tap[((r * t + c) * c_out + co) * c_in + ci] = q.at2(r, c) as i16;
-                    }
+        // Offline weight transformation + tap-wise quantization.
+        let tt = t * t;
+        let mut wq = Tensor::<i16>::zeros(&[c_out, c_in, t, t]);
+        for (i, codes) in wq.as_mut_slice().chunks_exact_mut(tt).enumerate() {
+            let (co, ci) = (i / c_in, i % c_in);
+            let mut k = Tensor::<f32>::zeros(&[3, 3]);
+            for ky in 0..3 {
+                for kx in 0..3 {
+                    k.set2(ky, kx, weights.at4(co, ci, ky, kx));
                 }
             }
+            let u = weight_transform(&k, &mats);
+            let q = scales.weight.quantize_tile(&u);
+            for (code, &v) in codes.iter_mut().zip(q.as_slice()) {
+                *code = v as i16;
+            }
+        }
+        // The tap GEMM operands, packed once for the active kernel variant.
+        // Activation codes are clamped to `wino_bits`, weight codes to the
+        // calibrated weight bit-width; both must fit the code type.
+        let taps = if cfg.wino_bits.bits().max(scales.weight.bits().bits()) <= 8 {
+            TapWeights::I8(TapPanels::pack(wq.as_slice(), c_out, c_in, tt))
+        } else {
+            TapWeights::I16(TapPanels::pack(wq.as_slice(), c_out, c_in, tt))
+        };
+        let mut int_mats = Box::new(IntTransforms {
+            bt: [0; INT_MAX_TT],
+            at: [0; INT_MAX_TT],
+        });
+        for (d, &v) in int_mats.bt.iter_mut().zip(mats.bt.as_slice()) {
+            *d = v as i32;
+        }
+        for (d, &v) in int_mats.at.iter_mut().zip(mats.at.as_slice()) {
+            *d = v as i32;
         }
 
         // S_B in the integer-activation domain: the float calibration observed
@@ -337,7 +461,8 @@ impl IntWinogradConv {
             c_out,
             c_in,
             wq,
-            wq_tap,
+            taps,
+            int_mats,
             weight_scales: scales.weight.scales().clone(),
             input_tap_scales,
             input_scale: input_params.scale,
@@ -371,9 +496,11 @@ impl IntWinogradConv {
     /// Runs integer-only inference on an int8 NCHW input.
     ///
     /// The tap-major pipeline: tiles of a strip group are transformed and
-    /// requantized into a `V[tap][c_in][tile]` panel of `i16` codes, each tap
-    /// runs one `i16 × i16 → i32` GEMM against the tap-major weights (the
-    /// Cube Unit's batched MatMul), and the accumulators are rescaled and
+    /// requantized straight into the tap GEMM's packed activation panel
+    /// (`i8` codes at ≤ 8 Winograd-domain bits, `i16` above), each tap runs
+    /// one integer GEMM against the weights packed at prepare (the Cube
+    /// Unit's batched MatMul) — laned over tiles, or over output channels
+    /// for thin layers — and the accumulators are rescaled and
     /// back-transformed per tile. Bit-identical to
     /// [`IntWinogradConv::forward_per_tile`] (integer accumulation is exact
     /// under reordering and the float epilogue is evaluated in the same
@@ -558,23 +685,59 @@ impl IntWinogradConv {
         y
     }
 
+    /// Whether a `batch × … × h × w` forward lanes its tap GEMMs over output
+    /// channels rather than tiles — the float path's thin-layer predicate
+    /// (`PreparedWinogradConv::lanes_channels`): too few tiles to fill the
+    /// microkernel's `N` lanes, enough output channels to fill them the
+    /// transposed way (the 512×512×7 ResNet shape at batch 1).
+    fn lanes_channels(&self, batch: usize, h: usize, w: usize) -> bool {
+        let m = self.mats.output_tile();
+        thin_layer_lanes_channels(batch * h.div_ceil(m) * w.div_ceil(m), self.c_out)
+    }
+
+    /// Strips per tap-major work item: the code panel (1 or 2 bytes per
+    /// code) plus the `i32` accumulator panel inside the scratch budget. The
+    /// scatter and the merge both group by this.
+    fn strip_group(&self, tiles_w: usize) -> usize {
+        let t = self.mats.input_tile();
+        let code_bytes = match self.taps {
+            TapWeights::I8(_) => 1,
+            TapWeights::I16(_) => 2,
+        };
+        let acc_bytes = std::mem::size_of::<i32>();
+        strip_group_len(tiles_w, self.c_in, self.c_out, t * t, code_bytes, acc_bytes)
+    }
+
+    /// The parallel phase of the tap-major pipeline, dispatched on the code
+    /// type the weights were packed in.
+    fn tap_major_strip_bufs<E: TapEmit>(&self, x: &Tensor<i8>, emit: &E) -> Vec<Vec<E::Out>> {
+        match &self.taps {
+            TapWeights::I8(panels) => self.strip_bufs_with(x, emit, panels),
+            TapWeights::I16(panels) => self.strip_bufs_with(x, emit, panels),
+        }
+    }
+
     /// The parallel phase of the tap-major pipeline: gather + integer
     /// transforms, one GEMM per tap, rescale + back-transformation, and the
     /// `emit` scatter into per-group strip buffers. Split from the merge so
     /// an in-place caller ([`IntWinogradConv::forward_epilogue_into`]) can
     /// read the residual here and hand its buffer to the merge afterwards.
-    fn tap_major_strip_bufs<E: TapEmit>(&self, x: &Tensor<i8>, emit: &E) -> Vec<Vec<E::Out>> {
+    fn strip_bufs_with<E: TapEmit, T: TapCode>(
+        &self,
+        x: &Tensor<i8>,
+        emit: &E,
+        panels: &TapPanels<T>,
+    ) -> Vec<Vec<E::Out>> {
         assert_eq!(x.rank(), 4, "input must be NCHW");
         assert_eq!(x.dims()[1], self.c_in, "channel mismatch");
         let (n, h, w) = (x.dims()[0], x.dims()[2], x.dims()[3]);
+        let (c_in, c_out) = (self.c_in, self.c_out);
         let m = self.mats.output_tile();
         let t = self.mats.input_tile();
         let tt = t * t;
         let grid = TileGrid::new(h, w, m, 1);
 
-        // Integer B^T / A^T (exact for F2/F4).
-        let bt_i: Vec<i32> = self.mats.bt.as_slice().iter().map(|&v| v as i32).collect();
-        let at_i: Vec<i32> = self.mats.at.as_slice().iter().map(|&v| v as i32).collect();
+        let (bt, at) = (&self.int_mats.bt, &self.int_mats.at);
         let (wino_lo, wino_hi) = (
             self.cfg.wino_bits.min_value(),
             self.cfg.wino_bits.max_value(),
@@ -590,33 +753,55 @@ impl IntWinogradConv {
             }
         }
 
+        // Tile-laned: M[tap] = W[tap] · V[tap] (`[C_out × C_in] · [C_in ×
+        // tiles]`). Channel-laned (thin layers): M'[tap] = V'[tap] · W'[tap]
+        // (`[tiles × C_in] · [C_in × C_out]`), so the handful of tiles are the
+        // GEMM's rows and `c_out` fills the vector lanes a 4-tile call would
+        // leave empty. Integer sums are exact, so both give the same bits.
+        let lane_channels = self.lanes_channels(n, h, w);
+        let weights: &[PackedWeights<T>] = if lane_channels {
+            panels
+                .channel_lanes
+                .get_or_init(|| pack_taps(self.wq.as_slice(), c_out, c_in, tt, true))
+        } else {
+            &panels.tile_lanes
+        };
+        // Where the codes of one tap go: its GEMM activation panel, in the
+        // kernel's own layout (sign-flipped to u8 if the kernel wants that).
+        let act_layout = weights[0].act_layout();
+        let act_flip = weights[0].act_flip();
+
         let strips = n * grid.tiles_h;
-        let group = strip_group_len(grid.tiles_w, self.c_in, self.c_out, tt);
-        let ranges = split_ranges(strips, group);
-        let (bt_ref, at_ref) = (&bt_i, &at_i);
-        let bufs = parallel_map(ranges.len(), |gi| {
+        let ranges = split_ranges(strips, self.strip_group(grid.tiles_w));
+        parallel_map(ranges.len(), |gi| {
             let range = ranges[gi].clone();
             let ntiles = range.len() * grid.tiles_w;
             let buf_len: usize = range
                 .clone()
-                .map(|s| self.c_out * m.min(h - (s % grid.tiles_h) * m) * w)
+                .map(|s| c_out * m.min(h - (s % grid.tiles_h) * m) * w)
                 .sum();
             let mut buf = vec![E::Out::default(); buf_len];
-            let mut stage = vec![E::Out::default(); m * m * ntiles];
             with_tap_scratch(|scr| {
                 let mut clock = PhaseClock::start();
                 let probe = self.probe.as_deref();
-                let (v, mm, da, db, ea, eb) = scr.int_panels(
-                    tt * self.c_in * ntiles,
-                    tt * self.c_out * ntiles,
-                    tt * ntiles,
-                );
+                let v_tap = weights[0].act_elems(ntiles);
+                let m_tap = c_out * ntiles;
+                // Channel-laned groups need a second M panel: the GEMM
+                // writes `[tile][co]` rows which are then transposed into the
+                // SoA `[co][tile]` layout the back-transform consumes.
+                let m_len = if lane_channels {
+                    2 * tt * m_tap
+                } else {
+                    tt * m_tap
+                };
+                let p = scr.int_panels::<T, E::Out>(tt * v_tap, m_len, tt * ntiles, m * m * ntiles);
+                let (v, da, db, ea, eb, stage) = (p.v, p.da, p.db, p.ea, p.eb, p.stage);
                 let x_s = x.as_slice();
 
                 // --- gather: integer transform (SoA over tile lanes) +
-                //     tap-wise requantization into V[tap][c_in][tile] ---
+                //     tap-wise requantization into the tap's GEMM panel ---
                 let input_sp = kernel_block_span(&INPUT_STAGE_SYM, "wino_input_stage", probe);
-                for ci in 0..self.c_in {
+                for ci in 0..c_in {
                     // Extract this channel's tiles into SoA lanes with zero
                     // padding: da[(dy·t + dx)·ntiles + tile].
                     da.fill(0);
@@ -624,7 +809,7 @@ impl IntWinogradConv {
                         let ni = s / grid.tiles_h;
                         let ty = s % grid.tiles_h;
                         let y0 = (ty * m) as isize - 1;
-                        let plane = (ni * self.c_in + ci) * h * w;
+                        let plane = (ni * c_in + ci) * h * w;
                         for dy in 0..t {
                             let iy = y0 + dy as isize;
                             if iy < 0 || iy >= h as isize {
@@ -654,7 +839,7 @@ impl IntWinogradConv {
                             let dst = &mut db[(r * t + c) * ntiles..(r * t + c + 1) * ntiles];
                             dst.fill(0);
                             for k in 0..t {
-                                let coeff = bt_ref[r * t + k];
+                                let coeff = bt[r * t + k];
                                 if coeff != 0 {
                                     let src = &da[(k * t + c) * ntiles..(k * t + c + 1) * ntiles];
                                     simd::axpy_i32(dst, coeff, src);
@@ -662,62 +847,72 @@ impl IntWinogradConv {
                             }
                         }
                     }
-                    // Stage 2 + requantization: the tap's code row.
+                    // Stage 2 + requantization: the tap's code row, written
+                    // where the tap GEMM reads channel `ci` of each tile.
+                    let (k_group_at, slot) = act_layout.slot(c_in, ci);
                     for r in 0..t {
                         for c in 0..t {
-                            let dst = &mut da[(r * t + c) * ntiles..(r * t + c + 1) * ntiles];
+                            let tap = r * t + c;
+                            let dst = &mut da[tap * ntiles..(tap + 1) * ntiles];
                             dst.fill(0);
                             for k in 0..t {
-                                let coeff = bt_ref[c * t + k];
+                                let coeff = bt[c * t + k];
                                 if coeff != 0 {
                                     let src = &db[(r * t + k) * ntiles..(r * t + k + 1) * ntiles];
                                     simd::axpy_i32(dst, coeff, src);
                                 }
                             }
-                            let sc = self.input_tap_scales.at2(r, c);
-                            let out = &mut v[((r * t + c) * self.c_in + ci) * ntiles
-                                ..((r * t + c) * self.c_in + ci + 1) * ntiles];
-                            simd::quantize_i32_i16(out, dst, sc, wino_lo, wino_hi);
+                            T::quantize_into_panel(
+                                &mut v[tap * v_tap + k_group_at..(tap + 1) * v_tap],
+                                dst,
+                                self.input_tap_scales.at2(r, c),
+                                wino_lo,
+                                wino_hi,
+                                act_flip,
+                                slot,
+                            );
                         }
                     }
                     clock.lap(Phase::InputTransform);
                 }
                 drop(input_sp);
 
-                // --- one integer GEMM per tap (the batched MatMul) ---
+                // --- one integer GEMM per tap (the batched MatMul), the
+                //     accumulator tiles stored straight into M ---
                 let gemm_sp = kernel_block_span(&TAP_GEMM_SYM, "wino_tap_gemm", probe);
-                for tap in 0..tt {
-                    gemm_i16_i32_into(
-                        &mut mm[tap * self.c_out * ntiles..(tap + 1) * self.c_out * ntiles],
-                        &self.wq_tap
-                            [tap * self.c_out * self.c_in..(tap + 1) * self.c_out * self.c_in],
-                        &v[tap * self.c_in * ntiles..(tap + 1) * self.c_in * ntiles],
-                        self.c_out,
-                        self.c_in,
+                let (gout, soa) = p.m.split_at_mut(tt * m_tap);
+                for (tap, wt) in weights.iter().enumerate() {
+                    gemm_packed_i32_into(
+                        &mut gout[tap * m_tap..(tap + 1) * m_tap],
+                        wt,
+                        &v[tap * v_tap..(tap + 1) * v_tap],
                         ntiles,
                     );
                 }
+                let mm: &[i32] = if lane_channels {
+                    for (src, dst) in gout.chunks_exact(m_tap).zip(soa.chunks_exact_mut(m_tap)) {
+                        for (tile, row) in src.chunks_exact(c_out).enumerate() {
+                            for (co, &acc) in row.iter().enumerate() {
+                                dst[co * ntiles + tile] = acc;
+                            }
+                        }
+                    }
+                    soa
+                } else {
+                    gout
+                };
                 clock.lap(Phase::TapGemm);
                 drop(gemm_sp);
 
                 // --- per-tap rescale, back-transformation (SoA), epilogue ---
                 let output_sp = kernel_block_span(&OUTPUT_STAGE_SYM, "wino_output_stage", probe);
-                let strip_offs: Vec<usize> = range
-                    .clone()
-                    .scan(0usize, |off, s| {
-                        let cur = *off;
-                        *off += self.c_out * m.min(h - (s % grid.tiles_h) * m) * w;
-                        Some(cur)
-                    })
-                    .collect();
-                for co in 0..self.c_out {
+                for co in 0..c_out {
                     // ea[tap] = M[tap][co] · S_BG[tap] (float, per lane).
                     // `scale_i32_f32` converts and multiplies with the same
                     // rounding as the scalar expression on every variant, so
                     // the bit-identity with the per-tile path is preserved.
                     for tap in 0..tt {
-                        let src = &mm[(tap * self.c_out + co) * ntiles
-                            ..(tap * self.c_out + co + 1) * ntiles];
+                        let src = &mm[(tap * c_out + co) * ntiles..(tap * c_out + co + 1) * ntiles];
                         let dst = &mut ea[tap * ntiles..(tap + 1) * ntiles];
                         simd::scale_i32_f32(dst, src, sbg[tap]);
                     }
@@ -730,7 +925,7 @@ impl IntWinogradConv {
                             let dst = &mut eb[(r * t + c) * ntiles..(r * t + c + 1) * ntiles];
                             dst.fill(0.0);
                             for k in 0..t {
-                                let coeff = at_ref[r * t + k];
+                                let coeff = at[r * t + k];
                                 if coeff != 0 {
                                     let src = &ea[(k * t + c) * ntiles..(k * t + c + 1) * ntiles];
                                     simd::axpy_f32_unfused(dst, coeff as f32, src);
@@ -744,7 +939,7 @@ impl IntWinogradConv {
                             let dst = &mut ea[(r * m + c) * ntiles..(r * m + c + 1) * ntiles];
                             dst.fill(0.0);
                             for k in 0..t {
-                                let coeff = at_ref[c * t + k];
+                                let coeff = at[c * t + k];
                                 if coeff != 0 {
                                     let src = &eb[(r * t + k) * ntiles..(r * t + k + 1) * ntiles];
                                     simd::axpy_f32_unfused(dst, coeff as f32, src);
@@ -764,12 +959,14 @@ impl IntWinogradConv {
                             &ea[rc * ntiles..(rc + 1) * ntiles],
                         );
                     }
+                    let mut strip_off = 0usize;
                     for (si, s) in range.clone().enumerate() {
                         let ni = s / grid.tiles_h;
                         let ty = s % grid.tiles_h;
                         let strip_h = m.min(h - ty * m);
-                        let base = strip_offs[si] + co * strip_h * w;
-                        let out_plane = (ni * self.c_out + co) * h * w;
+                        let base = strip_off + co * strip_h * w;
+                        strip_off += c_out * strip_h * w;
+                        let out_plane = (ni * c_out + co) * h * w;
                         for tx in 0..grid.tiles_w {
                             let tile_idx = si * grid.tiles_w + tx;
                             let cols = m.min(w - tx * m);
@@ -791,8 +988,7 @@ impl IntWinogradConv {
                 }
             });
             buf
-        });
-        bufs
+        })
     }
 
     /// The sequential merge of the tap-major strip buffers into `y`, which
@@ -804,11 +1000,9 @@ impl IntWinogradConv {
         let mut merge_clock = PhaseClock::start();
         let (n, h, w) = (y.dims()[0], y.dims()[2], y.dims()[3]);
         let m = self.mats.output_tile();
-        let t = self.mats.input_tile();
         let grid = TileGrid::new(h, w, m, 1);
         let strips = n * grid.tiles_h;
-        let group = strip_group_len(grid.tiles_w, self.c_in, self.c_out, t * t);
-        let ranges = split_ranges(strips, group);
+        let ranges = split_ranges(strips, self.strip_group(grid.tiles_w));
         debug_assert_eq!(ranges.len(), bufs.len(), "strip grouping drifted");
         let y_s = y.as_mut_slice();
         for (range, buf) in ranges.iter().zip(bufs.iter()) {
@@ -863,9 +1057,6 @@ impl IntWinogradConv {
         let t = self.mats.input_tile();
         let grid = TileGrid::new(h, w, m, 1);
 
-        // Integer B^T (exact for F2/F4).
-        let bt_i: Vec<i32> = self.mats.bt.as_slice().iter().map(|&v| v as i32).collect();
-        let at_i: Vec<i32> = self.mats.at.as_slice().iter().map(|&v| v as i32).collect();
         let (wino_lo, wino_hi) = (
             self.cfg.wino_bits.min_value(),
             self.cfg.wino_bits.max_value(),
@@ -874,8 +1065,8 @@ impl IntWinogradConv {
         // Tile rows of distinct (batch, ty) pairs produce disjoint output rows;
         // process them in parallel into private strip buffers, then merge.
         let strips = n * grid.tiles_h;
-        let bt_ref = &bt_i;
-        let at_ref = &at_i;
+        let bt_ref = &self.int_mats.bt;
+        let at_ref = &self.int_mats.at;
         let strip_bufs = parallel_map(strips, |s| {
             let ni = s / grid.tiles_h;
             let ty = s % grid.tiles_h;
@@ -932,7 +1123,7 @@ impl IntWinogradConv {
                                 }
                                 // tap-wise requantization to wino_bits, in
                                 // the exact expression of the vectorized
-                                // `simd::quantize_i32_i16` (ties-to-even,
+                                // `simd::quantize_i32_i8_panel` (ties-to-even,
                                 // float-domain clamp) so the tap-major path
                                 // stays bit-identical to this reference
                                 let sc = self.input_tap_scales.at2(r, c);
@@ -948,10 +1139,10 @@ impl IntWinogradConv {
                     // --- elementwise multiply + channel accumulation (i32) ---
                     for co in 0..self.c_out {
                         acc.fill(0);
-                        for (ci, vt) in v_tiles.iter().enumerate() {
-                            for idx in 0..t * t {
-                                let wcode = self.wq.at(&[co, ci, idx / t, idx % t]);
-                                acc[idx] += i64::from(vt[idx]) * i64::from(wcode);
+                        let w_co = &self.wq.as_slice()[co * self.c_in * t * t..];
+                        for (vt, wt) in v_tiles.iter().zip(w_co.chunks_exact(t * t)) {
+                            for ((a, &v), &wcode) in acc.iter_mut().zip(vt).zip(wt) {
+                                *a += i64::from(v) * i64::from(wcode);
                             }
                         }
 

@@ -1,7 +1,8 @@
 //! Thread-local scratch for the tap-major Winograd pipelines.
 //!
 //! The tap-major forward passes ([`crate::winograd`], [`crate::int_winograd`])
-//! stage every tile of a strip group in a `V[tap][c_in][tile]` layout and run
+//! stage every tile of a strip group in a `V[tap][c_in][tile]` layout (the
+//! integer path directly in its GEMM kernel's packed-panel order) and run
 //! one GEMM per tap into an `M[tap][c_out][tile]` buffer. Those buffers are
 //! sized per strip group (bounded by [`GROUP_SCRATCH_BUDGET`]) and are needed
 //! again for the very next group and the very next conv node, so they are
@@ -36,6 +37,87 @@ fn grown<T: Copy + Default>(v: &mut Vec<T>, len: usize) -> &mut [T] {
     &mut v[..len]
 }
 
+/// [`grown`], with the returned slice starting on a cache-line boundary: the
+/// integer code panel is written and read a whole 64-byte `K` group at a
+/// time, and a panel that straddles lines splits every one of those accesses.
+fn grown_aligned<T: Copy + Default>(v: &mut Vec<T>, len: usize) -> &mut [T] {
+    const LINE: usize = 64;
+    let slack = LINE / std::mem::size_of::<T>();
+    if v.len() < len + slack {
+        v.resize(len + slack, T::default());
+    }
+    // `align_offset` may decline (`usize::MAX`); alignment is only a speed-up.
+    let skip = match v.as_ptr().align_offset(LINE) {
+        off if off <= slack => off,
+        _ => 0,
+    };
+    &mut v[skip..skip + len]
+}
+
+/// Picks the parked `Vec<Self>` out of a by-type store `S`, so the integer
+/// pipeline can be generic over its code type (`i8` / `i16` panels) and its
+/// emit type (`i8` / `f32` staging) without reallocating per call.
+pub(crate) trait Parked<S>: Copy + Default {
+    fn parked(store: &mut S) -> &mut Vec<Self>;
+}
+
+/// The integer `V` panel, one vector per Winograd-domain code type.
+#[derive(Debug, Default)]
+pub(crate) struct CodePanels {
+    i8: Vec<i8>,
+    i16: Vec<i16>,
+}
+
+impl Parked<CodePanels> for i8 {
+    fn parked(store: &mut CodePanels) -> &mut Vec<i8> {
+        &mut store.i8
+    }
+}
+
+impl Parked<CodePanels> for i16 {
+    fn parked(store: &mut CodePanels) -> &mut Vec<i16> {
+        &mut store.i16
+    }
+}
+
+/// The integer path's staged emit lanes, one vector per output type.
+#[derive(Debug, Default)]
+pub(crate) struct StageLanes {
+    i8: Vec<i8>,
+    f32: Vec<f32>,
+}
+
+impl Parked<StageLanes> for i8 {
+    fn parked(store: &mut StageLanes) -> &mut Vec<i8> {
+        &mut store.i8
+    }
+}
+
+impl Parked<StageLanes> for f32 {
+    fn parked(store: &mut StageLanes) -> &mut Vec<f32> {
+        &mut store.f32
+    }
+}
+
+/// The integer-path buffers of one strip group, see
+/// [`TapScratch::int_panels`].
+pub(crate) struct IntPanels<'a, T, O> {
+    /// Requantized-code panel, `t²` per-tap GEMM activation panels.
+    pub v: &'a mut [T],
+    /// Per-tap `i32` accumulator panel `M[tap][c_out][tile]`.
+    pub m: &'a mut [i32],
+    /// Integer transform staging, SoA over tiles (`[t² rows][tile lanes]`).
+    pub da: &'a mut [i32],
+    /// Second integer staging buffer.
+    pub db: &'a mut [i32],
+    /// Float staging of the rescale + back-transformation.
+    pub ea: &'a mut [f32],
+    /// Second float staging buffer.
+    pub eb: &'a mut [f32],
+    /// Staged emit lanes (`[m² rows][tile lanes]`).
+    pub stage: &'a mut [O],
+}
+
 /// The reusable tap-major buffers of one thread.
 #[derive(Debug, Default)]
 pub(crate) struct TapScratch {
@@ -47,14 +129,16 @@ pub(crate) struct TapScratch {
     aux_a_f: Vec<f32>,
     /// Second float staging buffer (the two-stage congruence ping-pongs).
     aux_b_f: Vec<f32>,
-    /// Integer requantized-code panel `V[tap][c_in][tile]`.
-    v_i: Vec<i16>,
+    /// Integer requantized-code panel, in GEMM panel layout.
+    v_i: CodePanels,
     /// Integer per-tap accumulator panel `M[tap][c_out][tile]`.
     m_i: Vec<i32>,
     /// Integer transform staging, SoA over tiles.
     aux_a_i: Vec<i32>,
     /// Second integer staging buffer.
     aux_b_i: Vec<i32>,
+    /// Integer-path staged emit lanes.
+    stage: StageLanes,
 }
 
 impl TapScratch {
@@ -76,31 +160,25 @@ impl TapScratch {
     }
 
     /// The integer-path buffers, grown (never shrunk) to the requested
-    /// element counts: the `i16` code panel, the `i32` accumulator panel, two
-    /// integer SoA staging buffers and two float staging buffers for the
-    /// rescale + back-transformation epilogue.
-    #[allow(clippy::type_complexity)]
-    pub fn int_panels(
+    /// element counts: the code panel of type `T`, the `i32` accumulator
+    /// panel, two integer and two float SoA staging buffers (each `aux_len`)
+    /// and the staged emit lanes of type `O`.
+    pub fn int_panels<T: Parked<CodePanels>, O: Parked<StageLanes>>(
         &mut self,
         v_len: usize,
         m_len: usize,
         aux_len: usize,
-    ) -> (
-        &mut [i16],
-        &mut [i32],
-        &mut [i32],
-        &mut [i32],
-        &mut [f32],
-        &mut [f32],
-    ) {
-        (
-            grown(&mut self.v_i, v_len),
-            grown(&mut self.m_i, m_len),
-            grown(&mut self.aux_a_i, aux_len),
-            grown(&mut self.aux_b_i, aux_len),
-            grown(&mut self.aux_a_f, aux_len),
-            grown(&mut self.aux_b_f, aux_len),
-        )
+        stage_len: usize,
+    ) -> IntPanels<'_, T, O> {
+        IntPanels {
+            v: grown_aligned(T::parked(&mut self.v_i), v_len),
+            m: grown(&mut self.m_i, m_len),
+            da: grown(&mut self.aux_a_i, aux_len),
+            db: grown(&mut self.aux_b_i, aux_len),
+            ea: grown(&mut self.aux_a_f, aux_len),
+            eb: grown(&mut self.aux_b_f, aux_len),
+            stage: grown(O::parked(&mut self.stage), stage_len),
+        }
     }
 }
 
@@ -118,51 +196,76 @@ pub(crate) fn with_tap_scratch<R>(f: impl FnOnce(&mut TapScratch) -> R) -> R {
 
 /// How many strips (tile rows) one tap-major work item covers for a layer
 /// with `tiles_w` tile columns and the given channel counts, such that the
-/// `V` + `M` panels fit [`GROUP_SCRATCH_BUDGET`] (always at least one strip).
-pub(crate) fn strip_group_len(tiles_w: usize, c_in: usize, c_out: usize, tt: usize) -> usize {
-    let bytes_per_tile = (c_in + c_out) * tt * std::mem::size_of::<f32>();
+/// `V` panel (`v_elem` bytes per code) plus the `M` panel (`m_elem` bytes per
+/// accumulator) fit [`GROUP_SCRATCH_BUDGET`] (always at least one strip).
+pub(crate) fn strip_group_len(
+    tiles_w: usize,
+    c_in: usize,
+    c_out: usize,
+    tt: usize,
+    v_elem: usize,
+    m_elem: usize,
+) -> usize {
+    let bytes_per_tile = (c_in * v_elem + c_out * m_elem) * tt;
     let max_tiles = (GROUP_SCRATCH_BUDGET / bytes_per_tile.max(1)).max(tiles_w);
     (max_tiles / tiles_w).max(1)
 }
 
-/// The peak tap-major scratch bytes (`V` + `M` panels, plus the per-thread
-/// packed GEMM `B` panel) a forward pass of the given geometry uses per
-/// worker thread, whichever of the float and integer pipelines is larger.
-/// Thin layers that run the channel-laned formulation (single-image tiles
-/// below `MIN_TAP_MAJOR_TILES`, `c_out` at least `CHANNEL_LANE_MIN_COUT`)
-/// double the `M` panel — the GEMM's `[tile][co]` product and its SoA
-/// transpose coexist — and their GEMM `N` dimension is `c_out`, so the `B`
-/// panel widens accordingly. The integer path's `B` panel is sized through
-/// [`wino_tensor::gemm_i16_b_panel_elems`], which accounts for the
-/// K-grouped (paired-MAC) packing of the active kernel variant. This is what
-/// `PreparedGraph::scratch_bytes` reports so deployments can size memory for
-/// the executor beyond the activation arena.
+/// Bytes per element of the float pipeline's `V` and `M` panels.
+pub(crate) const F32_BYTES: usize = std::mem::size_of::<f32>();
+
+/// The peak tap-major scratch bytes a forward pass of the given geometry uses
+/// per worker thread, whichever of the float pipeline and the integer
+/// pipeline at 8 or at 9–16 Winograd-domain bits is largest (the prepared
+/// graph does not say which will run). Thin layers that run the
+/// channel-laned formulation (single-image tiles below
+/// `MIN_TAP_MAJOR_TILES`, `c_out` at least `CHANNEL_LANE_MIN_COUT`) double
+/// the `M` panel — the GEMM's `[tile][co]` product and its SoA transpose
+/// coexist.
+///
+/// * Float: `V` + `M` panels plus the thread-parked packed GEMM `B` panel
+///   (whose `N` dimension is `c_out` when channel-laned).
+/// * Integer: the code panel **is** the GEMM's activation operand, already in
+///   the active kernel variant's `K`-grouped panel layout (`i8`/`u8` at ≤ 8
+///   bits, `i16` above; sized through [`wino_tensor::PanelLayout`], padding
+///   included) — the weights are packed once at prepare and nothing is
+///   packed per call — plus the `i32` `M` panel, the SoA staging rows and
+///   the staged emit lanes.
+///
+/// This is what `PreparedGraph::scratch_bytes` reports so deployments can
+/// size memory for the executor beyond the activation arena.
 pub fn tap_scratch_bytes(c_in: usize, c_out: usize, tile_t: usize, h: usize, w: usize) -> usize {
+    use wino_tensor::PackedCode;
     let tt = tile_t * tile_t;
     let m = tile_t - 2;
     let tiles_w = w.div_ceil(m);
     let tiles_h = h.div_ceil(m);
-    let group = strip_group_len(tiles_w, c_in, c_out, tt).min(tiles_h);
-    let ntiles = group * tiles_w;
     let variant = wino_tensor::simd::active();
-    // Mirrors the winograd module's thin-layer predicate at batch 1 (larger
+    // Mirrors the winograd modules' thin-layer predicate at batch 1 (larger
     // batches only lower the footprint back to the tile-laned shape).
-    let lane_channels = tiles_h * tiles_w < crate::winograd::MIN_TAP_MAJOR_TILES
-        && c_out >= crate::winograd::CHANNEL_LANE_MIN_COUT;
+    let lane_channels = crate::winograd::thin_layer_lanes_channels(tiles_h * tiles_w, c_out);
     let m_panels = if lane_channels { 2 * c_out } else { c_out };
+    let group_tiles = |v_elem: usize, m_elem: usize| {
+        strip_group_len(tiles_w, c_in, c_out, tt, v_elem, m_elem).min(tiles_h) * tiles_w
+    };
+
+    let ntiles = group_tiles(F32_BYTES, F32_BYTES);
     let gemm_n = if lane_channels { c_out } else { ntiles };
     let gemm_m = if lane_channels { ntiles } else { c_out };
     let b_panel = wino_tensor::gemm_f32_b_panel_elems(variant, gemm_m, c_in, gemm_n);
-    let float_bytes = ((c_in + m_panels) * tt * ntiles + b_panel) * std::mem::size_of::<f32>();
-    // Integer pipeline: i16 `V` panel, i32 `M` panel, two i32 + two f32 SoA
-    // staging rows, the staged emit lanes (f32 worst case), and the
-    // K-grouped i16 GEMM `B` panel.
-    let int_bytes = c_in * tt * ntiles * std::mem::size_of::<i16>()
-        + c_out * tt * ntiles * std::mem::size_of::<i32>()
-        + 2 * tt * ntiles * (std::mem::size_of::<i32>() + std::mem::size_of::<f32>())
-        + m * m * ntiles * std::mem::size_of::<f32>()
-        + wino_tensor::gemm_i16_b_panel_elems(variant, c_in, ntiles) * std::mem::size_of::<i16>();
-    float_bytes.max(int_bytes)
+    let float_bytes = ((c_in + m_panels) * tt * ntiles + b_panel) * F32_BYTES;
+
+    let int_bytes = |code_bytes: usize, (a_layout, b_layout): (_, wino_tensor::PanelLayout)| {
+        let ntiles = group_tiles(code_bytes, std::mem::size_of::<i32>());
+        let act_layout = if lane_channels { a_layout } else { b_layout };
+        tt * act_layout.elems(c_in, ntiles) * code_bytes
+            + m_panels * tt * ntiles * std::mem::size_of::<i32>()
+            + 2 * tt * ntiles * (std::mem::size_of::<i32>() + F32_BYTES)
+            + m * m * ntiles * F32_BYTES
+    };
+    float_bytes
+        .max(int_bytes(1, i8::layouts(variant)))
+        .max(int_bytes(2, i16::layouts(variant)))
 }
 
 #[cfg(test)]
@@ -172,14 +275,24 @@ mod tests {
     #[test]
     fn group_len_respects_budget_and_floor() {
         // Tiny layer: whole image fits the budget in one group.
-        assert!(strip_group_len(2, 4, 4, 36) >= 1);
+        assert!(strip_group_len(2, 4, 4, 36, 4, 4) >= 1);
         // Huge channels: the floor of one strip still holds.
-        assert_eq!(strip_group_len(64, 4096, 4096, 36), 1);
+        assert_eq!(strip_group_len(64, 4096, 4096, 36, 4, 4), 1);
         // ResNet-34 layer2 (28×28, 128→128, F4): a group of several strips
         // stays under the budget.
-        let g = strip_group_len(7, 128, 128, 36);
+        let g = strip_group_len(7, 128, 128, 36, 4, 4);
         assert!(g >= 2, "expected multi-strip groups, got {g}");
         assert!((128 + 128) * 36 * g * 7 * 4 <= GROUP_SCRATCH_BUDGET);
+    }
+
+    #[test]
+    fn narrow_codes_widen_the_group() {
+        // ResNet-34 layer1 (56×56, 64→64, F4): sized as f32 the 14 strips
+        // split 8 + 6; with 1-byte codes 13 fit the same budget.
+        let float = strip_group_len(14, 64, 64, 36, 4, 4);
+        let int8 = strip_group_len(14, 64, 64, 36, 1, 4);
+        assert_eq!((float, int8), (8, 13));
+        assert!((64 + 64 * 4) * 36 * int8 * 14 <= GROUP_SCRATCH_BUDGET);
     }
 
     #[test]
@@ -203,10 +316,11 @@ mod tests {
         let (v, _, _, _) = s.float_panels(8, 4, 2);
         assert_eq!(v.len(), 8);
         assert_eq!(s.v_f.capacity(), cap, "shrink must not reallocate");
-        let (vi, mi, ai, bi, af, bf) = s.int_panels(10, 10, 6);
+        let p = s.int_panels::<i8, f32>(10, 10, 6, 3);
         assert_eq!(
-            (vi.len(), mi.len(), ai.len(), bi.len(), af.len(), bf.len()),
-            (10, 10, 6, 6, 6, 6)
+            (p.v.len(), p.m.len(), p.da.len(), p.db.len()),
+            (10, 10, 6, 6)
         );
+        assert_eq!((p.ea.len(), p.eb.len(), p.stage.len()), (6, 6, 3));
     }
 }

@@ -25,7 +25,7 @@ use crate::epilogue::{apply_epilogue, EpilogueOps};
 use crate::int_winograd::WinogradQuantConfig;
 use crate::matrices::{TileSize, WinogradMatrices};
 use crate::quant::QuantParams;
-use crate::scratch::{strip_group_len, with_tap_scratch};
+use crate::scratch::{strip_group_len, with_tap_scratch, F32_BYTES};
 use crate::tapwise::{TapScaleMatrix, TapwiseScales};
 use crate::transform::{congruence_into, TileGrid};
 use std::sync::{Arc, OnceLock};
@@ -67,6 +67,13 @@ pub(crate) const MIN_TAP_MAJOR_TILES: usize = 8;
 /// fewer, neither GEMM dimension can fill a register block and the per-tile
 /// kernel stays ahead.
 pub(crate) const CHANNEL_LANE_MIN_COUT: usize = 8;
+
+/// Whether a forward over `tiles` total tiles lanes its tap GEMMs over output
+/// channels rather than tiles — the thin-layer predicate both tap-major
+/// pipelines and the scratch accounting share.
+pub(crate) fn thin_layer_lanes_channels(tiles: usize, c_out: usize) -> bool {
+    tiles < MIN_TAP_MAJOR_TILES && c_out >= CHANNEL_LANE_MIN_COUT
+}
 
 /// The layout of the per-tap GEMM weight operand.
 #[derive(Clone, Copy)]
@@ -352,7 +359,7 @@ fn winograd_forward_tap_major_impl(
     };
 
     let strips = n * grid.tiles_h;
-    let group = strip_group_len(grid.tiles_w, c_in, c_out, tt);
+    let group = strip_group_len(grid.tiles_w, c_in, c_out, tt, F32_BYTES, F32_BYTES);
     let ranges = split_ranges(strips, group);
     let bt = mats.bt.as_slice();
     let at = mats.at.as_slice();
@@ -875,8 +882,7 @@ impl PreparedWinogradConv {
     /// the transposed way — the 512×512×7 ResNet shape).
     pub(crate) fn lanes_channels(&self, batch: usize, h: usize, w: usize) -> bool {
         let m = self.mats.output_tile();
-        let tiles = batch * h.div_ceil(m) * w.div_ceil(m);
-        tiles < MIN_TAP_MAJOR_TILES && self.c_out >= CHANNEL_LANE_MIN_COUT
+        thin_layer_lanes_channels(batch * h.div_ceil(m) * w.div_ceil(m), self.c_out)
     }
 
     /// The per-tap GEMM weight operand for this geometry, building the

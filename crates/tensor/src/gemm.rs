@@ -7,56 +7,98 @@
 //! accumulators); and an `i16 × i16 → i32` GEMM for Winograd-domain codes
 //! wider than 8 bits (the paper's `int8/10` configurations).
 //!
-//! The slice-based `*_into` variants are the hot entry points. A generic
-//! packed driver ([`packed_driver`]) owns the blocking: it packs the left
-//! operand into `MR`-row panels, the right operand into `NR`-wide zero-padded
-//! column panels, and hands fixed-width contiguous rows to a register-blocked
-//! microkernel that accumulates a full `MR × NR` tile before touching `C`.
-//! The microkernel itself is chosen **per process** by
-//! [`crate::simd::active`]: explicit `std::arch` kernels for x86-64 AVX2/FMA
-//! and AVX-512F/BW (plus an AVX-512 VNNI tier) and for aarch64 NEON (plus a
-//! `sdot` tier), with portable scalar Rust as the reference fallback
-//! (`WINO_FORCE_KERNEL=scalar` pins it). The `*_into_with` twins take an
+//! # One compute driver over packed panels
+//!
+//! Every product runs through [`sweep_panels`]: the left operand arrives as
+//! `MR`-row panels, the right operand as `NR`-wide column panels, both
+//! zero-padded to the register block and `K`-grouped for the active
+//! microkernel (`A[kg][row][g]`, `B[jb][kg][col][g]`, `G ∈ {1, 2, 4}`
+//! consecutive `k` steps interleaved so the ISA's widening dot-product
+//! instructions read them contiguously). Who *produces* the panels is the
+//! caller's business:
+//!
+//! * **Packed-once weight operand** — [`PackedWeights`] lays a constant
+//!   integer matrix out once ([`PackedWeights::pack_left`] as the `A` side,
+//!   [`PackedWeights::pack_right`] as the `B` side), and
+//!   [`gemm_packed_i32_into`] multiplies it against an activation panel the
+//!   caller has *already written in panel layout*
+//!   ([`PackedWeights::act_layout`] names it; the Winograd input transform
+//!   quantizes straight into it through
+//!   [`PackedCode::quantize_into_panel`]). Nothing is packed per call. The
+//!   integer tap-major Winograd pipeline runs this way: weights packed at
+//!   `IntWinogradConv::prepare`, `i8` codes at ≤ 8 Winograd-domain bits,
+//!   `i16` above.
+//! * **Pack-per-call** — the slice entry points `gemm_*_into` take plain
+//!   row-major operands and are pack-then-compute over the same driver: the
+//!   integer ones pack both operands into thread-parked panels and sweep
+//!   once; `f32` additionally blocks `K` by [`BLOCK_K`] so the packed `B`
+//!   block of a large im2col product stays bounded.
+//!
+//! # Direct-to-`C` contract
+//!
+//! A microkernel accumulates a full `MR × NR` tile in registers and **stores**
+//! it at `c + r · ldc`; it never reads `C`. For an interior tile of the first
+//! (or only) `K` block the driver passes `C` itself, so the accumulators land
+//! in the output once — no cleared `C`, no stack tile, no `+=` pass. Ragged
+//! edge tiles and the later `K` blocks of an `f32` product go through a stack
+//! tile that the driver copies or adds into the valid region (the add keeps
+//! the `f32` summation order — block sum from zero, then `C += block` —
+//! exactly what it was when every tile took that detour).
+//!
+//! # Who owns the sign offset
+//!
+//! `vpdpbusd` (AVX-512 VNNI) multiplies unsigned × signed. Under that variant
+//! the **activation** operand — the one that is *not* [`PackedWeights`] — is
+//! stored as `u8 = code ^ 0x80` by whoever writes its panel
+//! ([`PackedWeights::act_flip`] says so; `quantize_into_panel` applies it for
+//! free), and the packed weights carry `−128 · Σ_k w` per output row (left) or
+//! column (right), computed at pack time, which the kernel uses as its
+//! accumulator *initial value*. The `K` loop itself contains nothing but the
+//! dot-product instruction. The pack-per-call `i8` entry treats `B` as the
+//! activation side: it flips the packed `B` panel and sums the rows of `A`
+//! while packing. The paired-MAC (`vpmaddwd`), `sdot` and scalar kernels
+//! multiply signed × signed and use neither.
+//!
+//! # Kernel variants
+//!
+//! The microkernel is chosen **per process** by [`crate::simd::active`]:
+//! explicit `std::arch` kernels for x86-64 AVX2/FMA and AVX-512F/BW (plus an
+//! AVX-512 VNNI tier) and for aarch64 NEON (plus a `sdot` tier), with portable
+//! scalar Rust as the reference fallback (`WINO_FORCE_KERNEL=scalar` pins it).
+//! The `*_into_with` twins and [`PackedWeights`]' constructors take an
 //! explicit [`KernelVariant`] so tests and benchmarks can compare variants
 //! inside one process; a variant foreign to the build architecture falls
 //! back to scalar there (the global dispatch never selects one).
 //!
 //! The integer kernels are *paired-MAC* formulations: instead of widening
-//! every 8/16-bit code to 32 bits before multiplying (one multiply per
-//! lane-element), they multiply natively narrow lanes and let the ISA's
-//! widening dot-product instructions fold 2 or 4 `K` steps per operation —
+//! every 8/16-bit code to 32 bits before multiplying, they multiply natively
+//! narrow lanes and let the ISA fold 2 or 4 `K` steps per operation —
 //! `vpmaddwd` pairs two i16 products into an i32 (AVX2/AVX-512), `vpdpbusd`
-//! quads four u8×i8 products (AVX-512 VNNI, with a sign-offset correction
-//! so signed×signed stays exact), and NEON uses `smull`+`sadalp` pairs or
-//! `sdot` quads. To feed those instructions contiguously the packed panels
-//! group `K` in `G ∈ {1, 2, 4}` interleaved steps (`A[kg][row][g]`,
-//! `B[kg][col][g]`, zero-padded to a multiple of `G`); every paired kernel
-//! produces bit-identical i32 sums to the scalar reference — the saturation
-//! analysis lives on each kernel.
+//! quads four u8×i8 products, and NEON uses `smull`+`sadalp` pairs or `sdot`
+//! quads. Every one produces bit-identical i32 sums to the scalar reference —
+//! the saturation analysis lives on each kernel.
 //!
 //! `f32` additionally has a *thin* microkernel family: when `m ≤` [`MR_THIN`]
 //! the driver switches to 4-row kernels with twice the column width (AVX2
 //! 4×16, AVX-512 4×32, NEON 4×16), so a GEMM whose `M` dimension cannot fill
-//! the standard 8-row block trades the dead rows for live columns. The
-//! channel-laned thin-layer Winograd formulation leans on this: its tap GEMMs
-//! run with `M = tiles ≤ 4` and `N = c_out`, and the thin kernels keep every
-//! accumulator lane busy.
+//! the standard 8-row block trades the dead rows for live columns. The float
+//! channel-laned thin-layer Winograd formulation leans on this.
 //!
 //! There is deliberately no zero-skip branch in the inner loops — Winograd
 //! and im2col operands are dense, and a data-dependent branch per multiply
 //! defeats vectorization. The `Tensor` wrappers add [`BLOCK_M`]-row
 //! parallelism on top ([`crate::parallel::parallel_chunks_mut`]); the
-//! `*_into` kernels themselves are sequential so callers already inside a
+//! slice kernels themselves are sequential so callers already inside a
 //! parallel region (the Winograd strip workers) can use them without nesting
 //! thread pools.
 
 use crate::parallel::parallel_chunks_mut;
-use crate::simd::{self, KernelVariant};
+use crate::simd::{self, KernelVariant, PanelSlot};
 use crate::tensor::Tensor;
 
 /// Rows of `C` per parallel block — one block of `A` (MC × KC) stays in L1.
 const BLOCK_M: usize = 32;
-/// Depth of the shared `K` blocking.
+/// Depth of the `K` blocking of the pack-per-call `f32` product.
 const BLOCK_K: usize = 256;
 /// Rows per packed `A` panel / standard microkernel tile.
 const MR: usize = 8;
@@ -115,129 +157,264 @@ impl Widen<i32> for i16 {
     }
 }
 
-/// The packed-panel GEMM driver, generic over operand type, accumulator
-/// type, the microkernel's `MRP × NRP` register block and its `K`-group
-/// width `G`.
+/// Where a microkernel stores its `MR × NR` accumulator tile: row `r` goes to
+/// `c + r · ldc`. `i0`/`j0` are the tile's coordinates in `C`, for kernels
+/// that look up a per-row or per-column accumulator seed.
 ///
-/// Packs `A` into `MRP`-row row-interleaved panels and `B` into `NRP`-wide
-/// zero-padded column panels. With `G == 1` the layouts are the classic
-/// `pack[kk * MRP + r]` / `[jb][kk][NRP]`; with `G > 1` (the paired-MAC
-/// kernels) `K` is zero-padded up to a multiple of `G` and grouped so each
-/// `A` row / `B` column carries `G` consecutive `k` values contiguously:
-/// `pack[(kg * MRP + r) * G + g]` and `[jb][kg][NRP][G]`. `micro` is called
-/// once per `(row panel, column panel)` pair with
-/// `(acc, a_panel, b_panel, k_groups)` — note the last argument counts
-/// **groups**, not `k` steps (they coincide for `G == 1`); the accumulator
-/// tile is added into `C` afterwards, honouring ragged edges. `micro`
-/// always sees fixed-width fully padded rows — no tail path.
-#[inline]
+/// Only [`sweep_panels`] constructs one, and it guarantees `c` is valid for
+/// `MR` rows of `NR` writes at stride `ldc`.
+#[derive(Clone, Copy)]
+struct Tile<A> {
+    c: *mut A,
+    ldc: usize,
+    i0: usize,
+    j0: usize,
+}
+
+/// Packs rows `i0..i0 + rows` × columns `k0..k0 + kc` of the row-major
+/// `lda`-wide matrix `a` into one `MRP`-row panel `dst[(kg · MRP + r) · g +
+/// gi]`, zero-padding the dead rows and the ragged last `K` group. `g` is a
+/// kernel `K`-group width: 1, 2 or 4.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn packed_driver<T, A, const MRP: usize, const NRP: usize, const G: usize>(
-    c: &mut [A],
+fn pack_a_panel<T: Copy + Default, const MRP: usize>(
+    dst: &mut [T],
     a: &[T],
-    b: &[T],
-    m: usize,
-    k: usize,
-    n: usize,
-    bpack_store: &mut Vec<T>,
-    mut micro: impl FnMut(&mut [[A; NRP]; MRP], &[T], &[T], usize),
-) where
-    T: Copy + Default,
-    A: Copy + Default + std::ops::AddAssign,
-{
-    const {
-        assert!(
-            BLOCK_K.is_multiple_of(G),
-            "BLOCK_K must be a multiple of the K-group"
-        )
-    };
-    let nblocks = n.div_ceil(NRP);
-    let bpack_len = BLOCK_K.min(k).div_ceil(G) * G * nblocks * NRP;
-    if bpack_store.len() < bpack_len {
-        bpack_store.resize(bpack_len, T::default());
+    lda: usize,
+    i0: usize,
+    rows: usize,
+    k0: usize,
+    kc: usize,
+    g: usize,
+) {
+    #[inline(always)]
+    fn grouped<T: Copy + Default, const MRP: usize, const G: usize>(
+        dst: &mut [T],
+        a: &[T],
+        lda: usize,
+        i0: usize,
+        rows: usize,
+        k0: usize,
+        kc: usize,
+    ) {
+        dst.fill(T::default());
+        for r in 0..rows {
+            let arow = &a[(i0 + r) * lda + k0..(i0 + r) * lda + k0 + kc];
+            // Whole `K` groups move as one `G`-element copy each.
+            let mut groups = arow.chunks_exact(G);
+            for (kg, group) in groups.by_ref().enumerate() {
+                let at = (kg * MRP + r) * G;
+                dst[at..at + G].copy_from_slice(group);
+            }
+            let tail = groups.remainder();
+            if !tail.is_empty() {
+                let at = ((kc / G) * MRP + r) * G;
+                dst[at..at + tail.len()].copy_from_slice(tail);
+            }
+        }
     }
-    let bpack = &mut bpack_store[..bpack_len];
-    // One packed panel of A, row-interleaved so the microkernel reads MRP
-    // consecutive values (× G grouped k steps) per k group. Sized for the
-    // widest (MR-row) family; thin kernels use a prefix. `BLOCK_K % G == 0`
-    // keeps the padded group span inside the same bound.
-    let mut pack = [T::default(); MR * BLOCK_K];
-    for k0 in (0..k).step_by(BLOCK_K) {
-        let kc = (k0 + BLOCK_K).min(k) - k0;
-        let kcg = kc.div_ceil(G);
-        // Pack B into NRP-wide column panels, zero-padding the ragged last
-        // column block and the ragged last K group.
-        if G == 1 {
-            for jb in 0..nblocks {
-                for kk in 0..kc {
-                    let dst = &mut bpack[(jb * kc + kk) * NRP..(jb * kc + kk + 1) * NRP];
-                    let j0 = jb * NRP;
-                    let cols = NRP.min(n - j0);
-                    let src = &b[(k0 + kk) * n + j0..(k0 + kk) * n + j0 + cols];
-                    dst[..cols].copy_from_slice(src);
-                    dst[cols..].fill(T::default());
+    match g {
+        1 => {
+            // The panel's source rows, dead ones empty (read as zero).
+            let src: [&[T]; MRP] = std::array::from_fn(|r| {
+                if r < rows {
+                    &a[(i0 + r) * lda + k0..(i0 + r) * lda + k0 + kc]
+                } else {
+                    &[]
+                }
+            });
+            for (kk, drow) in dst.chunks_exact_mut(MRP).take(kc).enumerate() {
+                for (d, row) in drow.iter_mut().zip(&src) {
+                    *d = row.get(kk).copied().unwrap_or_default();
                 }
             }
-        } else {
-            for jb in 0..nblocks {
-                let j0 = jb * NRP;
-                let cols = NRP.min(n - j0);
-                for kg in 0..kcg {
-                    let base = (jb * kcg + kg) * NRP * G;
-                    let dst = &mut bpack[base..base + NRP * G];
-                    dst.fill(T::default());
-                    for g in 0..G {
-                        let kk = kg * G + g;
-                        if kk >= kc {
-                            break;
-                        }
-                        let src = &b[(k0 + kk) * n + j0..(k0 + kk) * n + j0 + cols];
-                        for (j, &v) in src.iter().enumerate() {
-                            dst[j * G + g] = v;
-                        }
+        }
+        2 => grouped::<T, MRP, 2>(dst, a, lda, i0, rows, k0, kc),
+        4 => grouped::<T, MRP, 4>(dst, a, lda, i0, rows, k0, kc),
+        _ => unreachable!("K groups are 1, 2 or 4 wide"),
+    }
+}
+
+/// Packs the whole row-major `m × k` matrix `a` into `⌈m / MR⌉` consecutive
+/// [`pack_a_panel`] panels, each the full `K` deep — the integer kernels'
+/// left operand (their `A` panels are all [`MR`] rows).
+fn pack_a_panels<T: Copy + Default>(dst: &mut [T], a: &[T], m: usize, k: usize, g: usize) {
+    let stride = k.div_ceil(g) * MR * g;
+    for (ib, panel) in dst.chunks_exact_mut(stride.max(1)).enumerate() {
+        let i0 = ib * MR;
+        pack_a_panel::<_, MR>(panel, a, k, i0, MR.min(m - i0), 0, k, g);
+    }
+}
+
+/// Packs rows `k0..k0 + kc` of the row-major `k × n` matrix `b` into
+/// `nrp`-wide column panels `dst[((jb · kcg + kg) · nrp + j) · g + gi]`,
+/// zero-padding the ragged last column block and the ragged last `K` group.
+/// `g` is a kernel `K`-group width: 1, 2 or 4.
+#[inline(always)]
+fn pack_b_panels<T: Copy + Default>(
+    dst: &mut [T],
+    b: &[T],
+    n: usize,
+    k0: usize,
+    kc: usize,
+    nrp: usize,
+    g: usize,
+) {
+    #[inline(always)]
+    fn grouped<T: Copy + Default, const G: usize>(
+        dst: &mut [T],
+        b: &[T],
+        n: usize,
+        k0: usize,
+        kc: usize,
+        nrp: usize,
+    ) {
+        let kcg = kc.div_ceil(G);
+        for jb in 0..n.div_ceil(nrp) {
+            let j0 = jb * nrp;
+            let cols = nrp.min(n - j0);
+            for kg in 0..kcg {
+                let base = (jb * kcg + kg) * nrp * G;
+                let group = &mut dst[base..base + nrp * G];
+                group.fill(T::default());
+                for gi in 0..G.min(kc - kg * G) {
+                    let kk = kg * G + gi;
+                    let src = &b[(k0 + kk) * n + j0..(k0 + kk) * n + j0 + cols];
+                    for (j, &v) in src.iter().enumerate() {
+                        group[j * G + gi] = v;
                     }
                 }
             }
         }
+    }
+    match g {
+        1 => {
+            for (jb, panel) in dst.chunks_exact_mut((kc * nrp).max(1)).enumerate() {
+                let j0 = jb * nrp;
+                let cols = nrp.min(n - j0);
+                for (kk, row) in panel.chunks_exact_mut(nrp).enumerate() {
+                    let src = &b[(k0 + kk) * n + j0..(k0 + kk) * n + j0 + cols];
+                    row[..cols].copy_from_slice(src);
+                    row[cols..].fill(T::default());
+                }
+            }
+        }
+        2 => grouped::<T, 2>(dst, b, n, k0, kc, nrp),
+        4 => grouped::<T, 4>(dst, b, n, k0, kc, nrp),
+        _ => unreachable!("K groups are 1, 2 or 4 wide"),
+    }
+}
+
+/// The compute driver: `C[m × n] (+)= A · B` over packed panels, generic over
+/// operand type, accumulator type, the microkernel's `MRP × NRP` register
+/// block and its `K`-group width `G`.
+///
+/// `a_panels` holds `⌈m / MRP⌉` row panels and `b_panels` `⌈n / NRP⌉` column
+/// panels, each `kcg` groups deep (see the pack functions for the element
+/// order). `micro` is called once per `(row panel, column panel)` pair with
+/// `(tile, a_panel, b_panel, kcg)` — the last argument counts **groups**, not
+/// `k` steps — and must store the full product tile at `tile` (see the
+/// module docs: interior tiles go straight to `C` unless `accumulate`, which
+/// adds the product onto what `C` already holds).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn sweep_panels<T, A, const MRP: usize, const NRP: usize, const G: usize>(
+    c: &mut [A],
+    m: usize,
+    n: usize,
+    kcg: usize,
+    a_panels: &[T],
+    b_panels: &[T],
+    accumulate: bool,
+    mut micro: impl FnMut(Tile<A>, &[T], &[T], usize),
+) where
+    A: Copy + Default + std::ops::AddAssign,
+{
+    let (a_stride, b_stride) = (kcg * MRP * G, kcg * NRP * G);
+    assert_eq!(c.len(), m * n, "sweep_panels: C length");
+    // Panels are sliced by index (bounds-checked: a microkernel reads exactly
+    // one stride of each) rather than chunked — chunking divides by the
+    // runtime stride, which a tiny product would notice.
+    for i0 in (0..m).step_by(MRP) {
+        let a_panel = &a_panels[i0 / MRP * a_stride..(i0 / MRP + 1) * a_stride];
+        let rows = MRP.min(m - i0);
+        for j0 in (0..n).step_by(NRP) {
+            let b_panel = &b_panels[j0 / NRP * b_stride..(j0 / NRP + 1) * b_stride];
+            let cols = NRP.min(n - j0);
+            if rows == MRP && cols == NRP && !accumulate {
+                // The tile's last element is `(i0 + MRP − 1) · n + j0 + NRP −
+                // 1 < m · n = c.len()` because `i0 + MRP ≤ m`, `j0 + NRP ≤ n`.
+                let tile = Tile {
+                    c: c[i0 * n + j0..].as_mut_ptr(),
+                    ldc: n,
+                    i0,
+                    j0,
+                };
+                micro(tile, a_panel, b_panel, kcg);
+            } else {
+                let mut edge = [[A::default(); NRP]; MRP];
+                let tile = Tile {
+                    c: edge.as_mut_ptr().cast::<A>(),
+                    ldc: NRP,
+                    i0,
+                    j0,
+                };
+                micro(tile, a_panel, b_panel, kcg);
+                for (r, erow) in edge.iter().enumerate().take(rows) {
+                    let crow = &mut c[(i0 + r) * n + j0..(i0 + r) * n + j0 + cols];
+                    if accumulate {
+                        for (cv, ev) in crow.iter_mut().zip(erow) {
+                            *cv += *ev;
+                        }
+                    } else {
+                        crow.copy_from_slice(&erow[..cols]);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The pack-per-call `f32` product: `K` is blocked by [`BLOCK_K`], each
+/// block's `B` rows are packed into the thread-parked `bpack_store`, each row
+/// panel of `A` into a stack panel, and [`sweep_panels`] multiplies them —
+/// storing the first block, adding the later ones.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+fn pack_and_sweep_f32<const MRP: usize, const NRP: usize>(
+    c: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    bpack_store: &mut Vec<f32>,
+    mut micro: impl FnMut(Tile<f32>, &[f32], &[f32], usize),
+) {
+    let bpack_len = BLOCK_K.min(k) * n.div_ceil(NRP) * NRP;
+    if bpack_store.len() < bpack_len {
+        bpack_store.resize(bpack_len, 0.0);
+    }
+    // Sized for the widest (MR-row) family; thin kernels use a prefix.
+    let mut apack = [0.0_f32; MR * BLOCK_K];
+    for k0 in (0..k).step_by(BLOCK_K) {
+        let kc = (k0 + BLOCK_K).min(k) - k0;
+        let bpack = &mut bpack_store[..kc * n.div_ceil(NRP) * NRP];
+        pack_b_panels(bpack, b, n, k0, kc, NRP, 1);
         for i0 in (0..m).step_by(MRP) {
             let rows = MRP.min(m - i0);
-            if G == 1 {
-                for kk in 0..kc {
-                    for r in 0..MRP {
-                        pack[kk * MRP + r] = if r < rows {
-                            a[(i0 + r) * k + k0 + kk]
-                        } else {
-                            T::default()
-                        };
-                    }
-                }
-            } else {
-                pack[..kcg * MRP * G].fill(T::default());
-                for r in 0..rows {
-                    let arow = &a[(i0 + r) * k + k0..(i0 + r) * k + k0 + kc];
-                    for (kk, &v) in arow.iter().enumerate() {
-                        pack[((kk / G) * MRP + r) * G + kk % G] = v;
-                    }
-                }
-            }
-            let a_panel = &pack[..kcg * MRP * G];
-            for jb in 0..nblocks {
-                let mut acc = [[A::default(); NRP]; MRP];
-                micro(
-                    &mut acc,
-                    a_panel,
-                    &bpack[jb * kcg * NRP * G..(jb + 1) * kcg * NRP * G],
-                    kcg,
-                );
-                let j0 = jb * NRP;
-                let cols = NRP.min(n - j0);
-                for r in 0..rows {
-                    let crow = &mut c[(i0 + r) * n + j0..(i0 + r) * n + j0 + cols];
-                    for (cv, av) in crow.iter_mut().zip(acc[r][..cols].iter()) {
-                        *cv += *av;
-                    }
-                }
-            }
+            let a_panel = &mut apack[..kc * MRP];
+            pack_a_panel::<_, MRP>(a_panel, a, k, i0, rows, k0, kc, 1);
+            sweep_panels::<_, _, MRP, NRP, 1>(
+                &mut c[i0 * n..(i0 + rows) * n],
+                rows,
+                n,
+                kc,
+                a_panel,
+                bpack,
+                k0 > 0,
+                &mut micro,
+            );
         }
     }
 }
@@ -247,14 +424,15 @@ fn packed_driver<T, A, const MRP: usize, const NRP: usize, const G: usize>(
 /// against this.
 #[inline(always)]
 fn scalar_micro<T, A, const MRP: usize, const NRP: usize>(
-    acc: &mut [[A; NRP]; MRP],
+    tile: Tile<A>,
     ap: &[T],
     bp: &[T],
     kc: usize,
 ) where
     T: Widen<A>,
-    A: Copy + std::ops::AddAssign + std::ops::Mul<Output = A>,
+    A: Copy + Default + std::ops::AddAssign + std::ops::Mul<Output = A>,
 {
+    let mut acc = [[A::default(); NRP]; MRP];
     for kk in 0..kc {
         let a_row: &[T; MRP] = ap[kk * MRP..].first_chunk().unwrap();
         let b_row: &[T; NRP] = bp[kk * NRP..].first_chunk().unwrap();
@@ -265,36 +443,35 @@ fn scalar_micro<T, A, const MRP: usize, const NRP: usize>(
             }
         }
     }
+    for (r, row) in acc.iter().enumerate() {
+        // SAFETY: `sweep_panels` hands out tiles valid for `MRP` rows of
+        // `NRP` elements at stride `ldc`.
+        unsafe { std::ptr::copy_nonoverlapping(row.as_ptr(), tile.c.add(r * tile.ldc), NRP) };
+    }
 }
 
 /// Element count of the thread-parked packed `B` panel a `k × n` `f32` GEMM
 /// uses under `variant` with an `m`-row left operand — exposed so scratch
 /// accounting can include the GEMM panel footprint.
 pub fn gemm_f32_b_panel_elems(variant: KernelVariant, m: usize, k: usize, n: usize) -> usize {
-    panel_elems(1, f32_nrp(variant, m), k, n)
+    BLOCK_K.min(k.max(1)) * n.next_multiple_of(f32_nrp(variant, m))
 }
 
-/// Element count of the packed `B` panel a `k × n` `i8` GEMM parks under
-/// `variant` — includes the paired/quad kernels' `K`-group padding.
+/// Element count of the packed `B` panel of a `k × n` `i8` GEMM under
+/// `variant` — the whole of `K`, padded to the kernel's `K` group and column
+/// width. This is what [`gemm_i8_i32_into_with`] parks per thread, and the
+/// size of the activation panel a left-packed [`PackedWeights`] multiplies.
 pub fn gemm_i8_b_panel_elems(variant: KernelVariant, k: usize, n: usize) -> usize {
-    let (g, nrp) = i8_layout(variant);
-    panel_elems(g, nrp, k, n)
+    <i8 as PackedCode>::layouts(variant).1.elems(k, n)
 }
 
-/// Element count of the packed `B` panel a `k × n` `i16` GEMM parks under
-/// `variant` — includes the paired kernels' `K`-group padding.
+/// [`gemm_i8_b_panel_elems`] for the `i16` GEMM.
 pub fn gemm_i16_b_panel_elems(variant: KernelVariant, k: usize, n: usize) -> usize {
-    let (g, nrp) = i16_layout(variant);
-    panel_elems(g, nrp, k, n)
+    <i16 as PackedCode>::layouts(variant).1.elems(k, n)
 }
 
-#[inline]
-fn panel_elems(g: usize, nrp: usize, k: usize, n: usize) -> usize {
-    BLOCK_K.min(k.max(1)).div_ceil(g) * g * n.div_ceil(nrp) * nrp
-}
-
-/// `(K-group, N width)` of the `i8` microkernel
-/// [`gemm_i8_i32_into_with`] would pick — must mirror its dispatch.
+/// `(K-group, N width)` of the `i8` microkernel a variant dispatches to —
+/// must mirror [`PackedCode::sweep`].
 fn i8_layout(variant: KernelVariant) -> (usize, usize) {
     match variant {
         KernelVariant::Avx2 if cfg!(target_arch = "x86_64") => (2, NR),
@@ -306,8 +483,8 @@ fn i8_layout(variant: KernelVariant) -> (usize, usize) {
     }
 }
 
-/// `(K-group, N width)` of the `i16` microkernel
-/// [`gemm_i16_i32_into_with`] would pick — must mirror its dispatch.
+/// `(K-group, N width)` of the `i16` microkernel a variant dispatches to —
+/// must mirror [`PackedCode::sweep`].
 fn i16_layout(variant: KernelVariant) -> (usize, usize) {
     match variant {
         KernelVariant::Avx2 if cfg!(target_arch = "x86_64") => (2, NR),
@@ -349,9 +526,11 @@ fn f32_nrp(variant: KernelVariant, m: usize) -> usize {
     }
 }
 
-/// Shared slice-length checks + `C` clear for the `*_into` entry points.
+/// Shared slice-length checks of the `*_into` entry points. Returns whether
+/// there is a product to compute; a degenerate one (`k == 0` with a
+/// non-empty `C`) is zero-filled here.
 #[inline]
-fn check_and_clear<T, A: Copy + Default>(
+fn check_dims<T, A: Copy + Default>(
     name: &str,
     c: &mut [A],
     a: &[T],
@@ -363,14 +542,16 @@ fn check_and_clear<T, A: Copy + Default>(
     assert_eq!(a.len(), m * k, "{name}: A length");
     assert_eq!(b.len(), k * n, "{name}: B length");
     assert_eq!(c.len(), m * n, "{name}: C length");
-    c.fill(A::default());
+    if k == 0 {
+        c.fill(A::default());
+    }
     m > 0 && n > 0 && k > 0
 }
 
 /// `C[M×N] = A[M×K] · B[K×N]` on flat row-major `f32` slices, overwriting
 /// `C`, using the process-wide [`crate::simd::active`] kernel variant. This
 /// is the packed sequential kernel behind [`gemm_f32`] and the per-tap GEMMs
-/// of the tap-major Winograd pipeline.
+/// of the float tap-major Winograd pipeline.
 ///
 /// # Panics
 ///
@@ -417,7 +598,7 @@ pub fn gemm_f32_into_with(
     k: usize,
     n: usize,
 ) {
-    if !check_and_clear("gemm_f32_into", c, a, b, m, k, n) {
+    if !check_dims("gemm_f32_into", c, a, b, m, k, n) {
         return;
     }
     // Panel scratch is parked per thread so repeated calls (one per Winograd
@@ -431,59 +612,596 @@ pub fn gemm_f32_into_with(
         match variant {
             #[cfg(target_arch = "x86_64")]
             KernelVariant::Avx2 if m <= MR_THIN => {
-                packed_driver::<_, _, 4, 16, 1>(c, a, b, m, k, n, bp, |acc, ap, bpn, kc| {
+                pack_and_sweep_f32::<4, 16>(c, a, b, m, k, n, bp, |t, ap, bpn, kc| {
                     // SAFETY: the caller-selected variant was feature-checked
-                    // (dispatch or the `_with` contract).
-                    unsafe { x86::f32_4x16_avx2(acc, ap, bpn, kc) }
+                    // (dispatch or the `_with` contract); `t` comes from
+                    // `sweep_panels`.
+                    unsafe { x86::f32_4x16_avx2(t.c, t.ldc, ap, bpn, kc) }
                 })
             }
             #[cfg(target_arch = "x86_64")]
             KernelVariant::Avx2 => {
-                packed_driver::<_, _, 8, 8, 1>(c, a, b, m, k, n, bp, |acc, ap, bpn, kc| {
+                pack_and_sweep_f32::<8, 8>(c, a, b, m, k, n, bp, |t, ap, bpn, kc| {
                     // SAFETY: as above.
-                    unsafe { x86::f32_8x8_avx2(acc, ap, bpn, kc) }
+                    unsafe { x86::f32_8x8_avx2(t.c, t.ldc, ap, bpn, kc) }
                 })
             }
             #[cfg(target_arch = "x86_64")]
             KernelVariant::Avx512 | KernelVariant::Avx512Vnni if m <= MR_THIN => {
-                packed_driver::<_, _, 4, 32, 1>(c, a, b, m, k, n, bp, |acc, ap, bpn, kc| {
+                pack_and_sweep_f32::<4, 32>(c, a, b, m, k, n, bp, |t, ap, bpn, kc| {
                     // SAFETY: as above.
-                    unsafe { x86::f32_4x32_avx512(acc, ap, bpn, kc) }
+                    unsafe { x86::f32_4x32_avx512(t.c, t.ldc, ap, bpn, kc) }
                 })
             }
             #[cfg(target_arch = "x86_64")]
             KernelVariant::Avx512 | KernelVariant::Avx512Vnni => {
-                packed_driver::<_, _, 8, 16, 1>(c, a, b, m, k, n, bp, |acc, ap, bpn, kc| {
+                pack_and_sweep_f32::<8, 16>(c, a, b, m, k, n, bp, |t, ap, bpn, kc| {
                     // SAFETY: as above.
-                    unsafe { x86::f32_8x16_avx512(acc, ap, bpn, kc) }
+                    unsafe { x86::f32_8x16_avx512(t.c, t.ldc, ap, bpn, kc) }
                 })
             }
             #[cfg(target_arch = "aarch64")]
             KernelVariant::Neon | KernelVariant::NeonDot if m <= MR_THIN => {
-                packed_driver::<_, _, 4, 16, 1>(c, a, b, m, k, n, bp, |acc, ap, bpn, kc| {
+                pack_and_sweep_f32::<4, 16>(c, a, b, m, k, n, bp, |t, ap, bpn, kc| {
                     // SAFETY: as above.
-                    unsafe { neon::f32_4x16_neon(acc, ap, bpn, kc) }
+                    unsafe { neon::f32_4x16_neon(t.c, t.ldc, ap, bpn, kc) }
                 })
             }
             #[cfg(target_arch = "aarch64")]
             KernelVariant::Neon | KernelVariant::NeonDot => {
-                packed_driver::<_, _, 8, 8, 1>(c, a, b, m, k, n, bp, |acc, ap, bpn, kc| {
+                pack_and_sweep_f32::<8, 8>(c, a, b, m, k, n, bp, |t, ap, bpn, kc| {
                     // SAFETY: as above.
-                    unsafe { neon::f32_8x8_neon(acc, ap, bpn, kc) }
+                    unsafe { neon::f32_8x8_neon(t.c, t.ldc, ap, bpn, kc) }
                 })
             }
-            _ if m <= MR_THIN => {
-                packed_driver::<_, _, MR_THIN, NR, 1>(c, a, b, m, k, n, bp, scalar_micro)
+            _ if m <= MR_THIN => pack_and_sweep_f32::<MR_THIN, NR>(
+                c,
+                a,
+                b,
+                m,
+                k,
+                n,
+                bp,
+                scalar_micro::<f32, f32, MR_THIN, NR>,
+            ),
+            _ => {
+                pack_and_sweep_f32::<MR, NR>(c, a, b, m, k, n, bp, scalar_micro::<f32, f32, MR, NR>)
             }
-            _ => packed_driver::<_, _, MR, NR, 1>(c, a, b, m, k, n, bp, scalar_micro),
         }
     });
+}
+
+/// The panel geometry of one integer GEMM operand under a kernel variant:
+/// `width` rows (an `A` panel) or columns (a `B` panel) per panel, `group`
+/// consecutive `k` steps interleaved per row/column. Element `(kk, j)` of a
+/// `k`-deep operand with free index `j` lives at [`PanelLayout::index`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PanelLayout {
+    /// `K` steps interleaved per row/column (`G`).
+    pub group: usize,
+    /// Rows/columns per panel (`MR` or `NR`).
+    pub width: usize,
+}
+
+impl PanelLayout {
+    /// `K` groups of a `k`-deep operand (the last one zero-padded).
+    pub fn k_groups(self, k: usize) -> usize {
+        k.div_ceil(self.group)
+    }
+
+    /// Elements of the padded panels holding a `k`-deep operand with `free`
+    /// rows (`A`) or columns (`B`).
+    pub fn elems(self, k: usize, free: usize) -> usize {
+        self.k_groups(k) * self.group * free.next_multiple_of(self.width)
+    }
+
+    /// Flat index of element `(kk, j)` in the panels of a `k`-deep operand.
+    pub fn index(self, k: usize, kk: usize, j: usize) -> usize {
+        let (base, slot) = self.slot(k, kk);
+        base + slot.offset(j)
+    }
+
+    /// Where the lane row of `K` index `kk` (one value per free index `j`)
+    /// lands: the panel offset of its `K` group, and the [`PanelSlot`] that
+    /// spreads the `j`s from there — the destination
+    /// [`PackedCode::quantize_into_panel`] writes through.
+    pub fn slot(self, k: usize, kk: usize) -> (usize, PanelSlot) {
+        let group_elems = self.width * self.group;
+        (
+            (kk / self.group) * group_elems,
+            PanelSlot {
+                width: self.width,
+                group: self.group,
+                chunk_stride: self.k_groups(k) * group_elems,
+                g: kk % self.group,
+            },
+        )
+    }
+}
+
+mod sealed {
+    /// How a variant's `vpdpbusd`-style kernel seeds its accumulators to
+    /// cancel the activation operand's `+128` offset (see the module docs).
+    #[derive(Debug, Clone, Copy)]
+    pub enum SignCorr<'a> {
+        /// Signed × signed kernel: nothing to cancel.
+        None,
+        /// `−128 · Σ_k a[i][k]` per row of `C` (activations on the `B` side).
+        Rows(&'a [i32]),
+        /// `−128 · Σ_k b[k][j]` per column of `C` (activations on the `A`
+        /// side).
+        Cols(&'a [i32]),
+    }
+
+    /// The crate-private half of [`super::PackedCode`]: the microkernel
+    /// dispatch, which also seals the trait to `i8` and `i16`.
+    pub trait Sealed: Sized {
+        /// Runs [`super::sweep_panels`] with `variant`'s microkernel.
+        #[allow(clippy::too_many_arguments)]
+        fn sweep(
+            variant: super::KernelVariant,
+            c: &mut [i32],
+            m: usize,
+            n: usize,
+            kcg: usize,
+            a_panels: &[Self],
+            b_panels: &[Self],
+            corr: SignCorr<'_>,
+        );
+    }
+}
+use sealed::SignCorr;
+
+/// An integer GEMM code type (`i8` or `i16`): its per-variant panel layouts,
+/// its microkernel dispatch (sealed) and its panel-writing quantizer.
+pub trait PackedCode: sealed::Sealed + Copy + Default + Send + Sync + 'static {
+    /// The `(A, B)` panel layouts of `variant`'s microkernel.
+    fn layouts(variant: KernelVariant) -> (PanelLayout, PanelLayout);
+
+    /// Whether `variant`'s kernel multiplies unsigned × signed, i.e. wants
+    /// the activation operand stored as `code ^ sign bit`.
+    fn unsigned_activations(variant: KernelVariant) -> bool;
+
+    /// `self ^ sign bit` — the unsigned-offset form of a code.
+    fn flip(self) -> Self;
+
+    /// The code widened to the accumulator type.
+    fn to_i32(self) -> i32;
+
+    /// `dst[slot.offset(j)] = quantize(src[j])` for every `j`: the tap-wise
+    /// requantization of [`simd::quantize_i32_i16`] (same expression, same
+    /// bits), narrowed to this code type, optionally sign-flipped, and
+    /// written straight into a GEMM panel.
+    #[allow(clippy::too_many_arguments)]
+    fn quantize_into_panel(
+        dst: &mut [Self],
+        src: &[i32],
+        scale: f32,
+        lo: i32,
+        hi: i32,
+        flip: bool,
+        slot: PanelSlot,
+    );
+}
+
+impl PackedCode for i8 {
+    fn layouts(variant: KernelVariant) -> (PanelLayout, PanelLayout) {
+        let (group, nr) = i8_layout(variant);
+        (
+            PanelLayout { group, width: MR },
+            PanelLayout { group, width: nr },
+        )
+    }
+
+    fn unsigned_activations(variant: KernelVariant) -> bool {
+        cfg!(target_arch = "x86_64") && variant == KernelVariant::Avx512Vnni
+    }
+
+    fn flip(self) -> Self {
+        self ^ i8::MIN
+    }
+
+    fn to_i32(self) -> i32 {
+        i32::from(self)
+    }
+
+    fn quantize_into_panel(
+        dst: &mut [i8],
+        src: &[i32],
+        scale: f32,
+        lo: i32,
+        hi: i32,
+        flip: bool,
+        slot: PanelSlot,
+    ) {
+        simd::quantize_i32_i8_panel(dst, src, scale, lo, hi, flip, slot);
+    }
+}
+
+impl sealed::Sealed for i8 {
+    fn sweep(
+        variant: KernelVariant,
+        c: &mut [i32],
+        m: usize,
+        n: usize,
+        kcg: usize,
+        ap: &[i8],
+        bp: &[i8],
+        corr: SignCorr<'_>,
+    ) {
+        match variant {
+            #[cfg(target_arch = "x86_64")]
+            KernelVariant::Avx2 => {
+                sweep_panels::<_, _, 8, 8, 2>(c, m, n, kcg, ap, bp, false, |t, a, b, kg| {
+                    // SAFETY: the caller-selected variant was feature-checked;
+                    // `t` comes from `sweep_panels`.
+                    unsafe { x86::i8_8x8_madd_avx2(t.c, t.ldc, a, b, kg) }
+                })
+            }
+            #[cfg(target_arch = "x86_64")]
+            KernelVariant::Avx512 => {
+                sweep_panels::<_, _, 8, 16, 2>(c, m, n, kcg, ap, bp, false, |t, a, b, kg| {
+                    // SAFETY: as above.
+                    unsafe { x86::i8_8x16_madd_avx512(t.c, t.ldc, a, b, kg) }
+                })
+            }
+            #[cfg(target_arch = "x86_64")]
+            KernelVariant::Avx512Vnni => match corr {
+                SignCorr::Rows(rows) => {
+                    assert!(rows.len() >= m.next_multiple_of(8), "row corrections");
+                    sweep_panels::<_, _, 8, 16, 4>(c, m, n, kcg, ap, bp, false, |t, a, b, kg| {
+                        // SAFETY: as above; `rows` covers every row panel.
+                        unsafe { x86::i8_8x16_vnni_ub(t.c, t.ldc, a, b, kg, rows[t.i0..].as_ptr()) }
+                    })
+                }
+                SignCorr::Cols(cols) => {
+                    assert!(cols.len() >= n.next_multiple_of(16), "column corrections");
+                    sweep_panels::<_, _, 8, 16, 4>(c, m, n, kcg, ap, bp, false, |t, a, b, kg| {
+                        // SAFETY: as above; `cols` covers every column panel.
+                        unsafe { x86::i8_8x16_vnni_ua(t.c, t.ldc, a, b, kg, cols[t.j0..].as_ptr()) }
+                    })
+                }
+                SignCorr::None => unreachable!("the vnni kernels need their sign correction"),
+            },
+            #[cfg(target_arch = "aarch64")]
+            KernelVariant::Neon => {
+                sweep_panels::<_, _, 8, 8, 2>(c, m, n, kcg, ap, bp, false, |t, a, b, kg| {
+                    // SAFETY: as above.
+                    unsafe { neon::i8_8x8_pair_neon(t.c, t.ldc, a, b, kg) }
+                })
+            }
+            #[cfg(target_arch = "aarch64")]
+            KernelVariant::NeonDot => {
+                sweep_panels::<_, _, 8, 8, 4>(c, m, n, kcg, ap, bp, false, |t, a, b, kg| {
+                    // SAFETY: as above.
+                    unsafe { neon::i8_8x8_dot_neon(t.c, t.ldc, a, b, kg) }
+                })
+            }
+            _ => sweep_panels::<_, _, MR, NR, 1>(
+                c,
+                m,
+                n,
+                kcg,
+                ap,
+                bp,
+                false,
+                scalar_micro::<i8, i32, MR, NR>,
+            ),
+        }
+    }
+}
+
+impl PackedCode for i16 {
+    fn layouts(variant: KernelVariant) -> (PanelLayout, PanelLayout) {
+        let (group, nr) = i16_layout(variant);
+        (
+            PanelLayout { group, width: MR },
+            PanelLayout { group, width: nr },
+        )
+    }
+
+    fn unsigned_activations(_: KernelVariant) -> bool {
+        false
+    }
+
+    fn flip(self) -> Self {
+        self ^ i16::MIN
+    }
+
+    fn to_i32(self) -> i32 {
+        i32::from(self)
+    }
+
+    fn quantize_into_panel(
+        dst: &mut [i16],
+        src: &[i32],
+        scale: f32,
+        lo: i32,
+        hi: i32,
+        flip: bool,
+        slot: PanelSlot,
+    ) {
+        simd::quantize_i32_i16_panel(dst, src, scale, lo, hi, flip, slot);
+    }
+}
+
+impl sealed::Sealed for i16 {
+    fn sweep(
+        variant: KernelVariant,
+        c: &mut [i32],
+        m: usize,
+        n: usize,
+        kcg: usize,
+        ap: &[i16],
+        bp: &[i16],
+        _: SignCorr<'_>,
+    ) {
+        match variant {
+            #[cfg(target_arch = "x86_64")]
+            KernelVariant::Avx2 => {
+                sweep_panels::<_, _, 8, 8, 2>(c, m, n, kcg, ap, bp, false, |t, a, b, kg| {
+                    // SAFETY: the caller-selected variant was feature-checked;
+                    // `t` comes from `sweep_panels`.
+                    unsafe { x86::i16_8x8_madd_avx2(t.c, t.ldc, a, b, kg) }
+                })
+            }
+            #[cfg(target_arch = "x86_64")]
+            KernelVariant::Avx512 => {
+                sweep_panels::<_, _, 8, 16, 2>(c, m, n, kcg, ap, bp, false, |t, a, b, kg| {
+                    // SAFETY: as above.
+                    unsafe { x86::i16_8x16_madd_avx512(t.c, t.ldc, a, b, kg) }
+                })
+            }
+            #[cfg(target_arch = "x86_64")]
+            KernelVariant::Avx512Vnni => {
+                sweep_panels::<_, _, 8, 16, 2>(c, m, n, kcg, ap, bp, false, |t, a, b, kg| {
+                    // SAFETY: as above.
+                    unsafe { x86::i16_8x16_dpwssd(t.c, t.ldc, a, b, kg) }
+                })
+            }
+            #[cfg(target_arch = "aarch64")]
+            KernelVariant::Neon | KernelVariant::NeonDot => {
+                sweep_panels::<_, _, 8, 8, 1>(c, m, n, kcg, ap, bp, false, |t, a, b, kc| {
+                    // SAFETY: as above.
+                    unsafe { neon::i16_8x8_neon(t.c, t.ldc, a, b, kc) }
+                })
+            }
+            _ => sweep_panels::<_, _, MR, NR, 1>(
+                c,
+                m,
+                n,
+                kcg,
+                ap,
+                bp,
+                false,
+                scalar_micro::<i16, i32, MR, NR>,
+            ),
+        }
+    }
+}
+
+/// Which operand of the product a [`PackedWeights`] is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Side {
+    /// `A`: `free` rows of `C`, the activations are the `B` panels.
+    Left,
+    /// `B`: `free` columns of `C`, the activations are the `A` panels.
+    Right,
+}
+
+/// `corr[i] = −128 · Σ_k a[i][k]` over the rows of the row-major `m × k`
+/// matrix `a` — the accumulator seeds of an unsigned × signed kernel whose
+/// signed operand is `a`. `corr` is a whole number of panels long (so a
+/// kernel may read past `m`); the padding is zeroed.
+fn row_sign_corrections<T: PackedCode>(corr: &mut [i32], a: &[T], m: usize, k: usize) {
+    corr[m..].fill(0);
+    for (cv, row) in corr.iter_mut().zip(a.chunks_exact(k.max(1))) {
+        *cv = -128 * row.iter().map(|v| v.to_i32()).sum::<i32>();
+    }
+}
+
+/// `corr[j] = −128 · Σ_k b[k][j]` over the columns of the row-major `k × n`
+/// matrix `b`; see [`row_sign_corrections`].
+fn col_sign_corrections<T: PackedCode>(corr: &mut [i32], b: &[T], n: usize) {
+    corr.fill(0);
+    for row in b.chunks_exact(n.max(1)) {
+        for (cv, v) in corr.iter_mut().zip(row) {
+            *cv -= 128 * v.to_i32();
+        }
+    }
+}
+
+/// A constant integer GEMM operand packed **once** into a kernel variant's
+/// `K`-grouped panel layout — the weight side of
+/// [`gemm_packed_i32_into`]. See the module docs for the layout, the
+/// direct-to-`C` contract and the sign-offset ownership.
+#[derive(Debug, Clone)]
+pub struct PackedWeights<T> {
+    variant: KernelVariant,
+    side: Side,
+    /// Rows of `C` ([`Side::Left`]) or columns of `C` ([`Side::Right`]).
+    free: usize,
+    k: usize,
+    panels: Vec<T>,
+    /// Per-row (left) / per-column (right) accumulator seeds; empty unless
+    /// the variant multiplies unsigned × signed.
+    sign_corr: Vec<i32>,
+}
+
+impl<T: PackedCode> PackedWeights<T> {
+    /// Packs the row-major `m × k` matrix `a` as the **left** operand:
+    /// [`gemm_packed_i32_into`] then computes `C[m × n] = a · B` for an
+    /// activation panel `B` in [`PackedWeights::act_layout`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.len() != m * k`.
+    pub fn pack_left(variant: KernelVariant, a: &[T], m: usize, k: usize) -> Self {
+        assert_eq!(a.len(), m * k, "pack_left: A length");
+        let (la, _) = T::layouts(variant);
+        let mut panels = vec![T::default(); la.elems(k, m)];
+        pack_a_panels(&mut panels, a, m, k, la.group);
+        let mut sign_corr = Vec::new();
+        if T::unsigned_activations(variant) {
+            sign_corr.resize(m.next_multiple_of(la.width), 0);
+            row_sign_corrections(&mut sign_corr, a, m, k);
+        }
+        Self {
+            variant,
+            side: Side::Left,
+            free: m,
+            k,
+            panels,
+            sign_corr,
+        }
+    }
+
+    /// Packs the row-major `k × n` matrix `b` as the **right** operand:
+    /// [`gemm_packed_i32_into`] then computes `C[m × n] = A · b` for an
+    /// activation panel `A` in [`PackedWeights::act_layout`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len() != k * n`.
+    pub fn pack_right(variant: KernelVariant, b: &[T], k: usize, n: usize) -> Self {
+        assert_eq!(b.len(), k * n, "pack_right: B length");
+        let (_, lb) = T::layouts(variant);
+        let mut panels = vec![T::default(); lb.elems(k, n)];
+        pack_b_panels(&mut panels, b, n, 0, k, lb.width, lb.group);
+        let mut sign_corr = Vec::new();
+        if T::unsigned_activations(variant) {
+            sign_corr.resize(n.next_multiple_of(lb.width), 0);
+            col_sign_corrections(&mut sign_corr, b, n);
+        }
+        Self {
+            variant,
+            side: Side::Right,
+            free: n,
+            k,
+            panels,
+            sign_corr,
+        }
+    }
+
+    /// The panel layout the **activation** operand must be written in.
+    pub fn act_layout(&self) -> PanelLayout {
+        let (la, lb) = T::layouts(self.variant);
+        match self.side {
+            Side::Left => lb,
+            Side::Right => la,
+        }
+    }
+
+    /// Whether activation codes must be stored sign-flipped
+    /// ([`PackedCode::flip`]) in their panel.
+    pub fn act_flip(&self) -> bool {
+        T::unsigned_activations(self.variant)
+    }
+
+    /// Elements of the activation panel for `free` activation vectors
+    /// (columns of `C` for a left-packed operand, rows for a right-packed
+    /// one).
+    pub fn act_elems(&self, free: usize) -> usize {
+        self.act_layout().elems(self.k, free)
+    }
+
+    /// The shared `K` dimension.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+}
+
+/// `C = W · act` (left-packed `W`, `C` is `W.rows × free`) or `C = act · W`
+/// (right-packed, `C` is `free × W.cols`), overwriting the row-major `c`.
+/// `act` is the other operand **already in panel layout**
+/// ([`PackedWeights::act_layout`], [`PackedWeights::act_elems`] long, codes
+/// sign-flipped iff [`PackedWeights::act_flip`]); its padding may hold
+/// anything — padded `K` steps meet zero weights and padded rows/columns are
+/// never stored. Exact `i32` accumulation under the same contract as
+/// [`gemm_i16_i32_into`]; bit-identical on every variant.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with the dimensions.
+pub fn gemm_packed_i32_into<T: PackedCode>(
+    c: &mut [i32],
+    w: &PackedWeights<T>,
+    act: &[T],
+    free: usize,
+) {
+    assert_eq!(c.len(), w.free * free, "gemm_packed_i32_into: C length");
+    let layout = w.act_layout();
+    assert_eq!(
+        act.len(),
+        layout.elems(w.k, free),
+        "gemm_packed_i32_into: activation panel length"
+    );
+    if w.k == 0 || c.is_empty() {
+        c.fill(0);
+        return;
+    }
+    let kcg = layout.k_groups(w.k);
+    let corr = match w.side {
+        _ if w.sign_corr.is_empty() => SignCorr::None,
+        Side::Left => SignCorr::Rows(&w.sign_corr),
+        Side::Right => SignCorr::Cols(&w.sign_corr),
+    };
+    match w.side {
+        Side::Left => T::sweep(w.variant, c, w.free, free, kcg, &w.panels, act, corr),
+        Side::Right => T::sweep(w.variant, c, free, w.free, kcg, act, &w.panels, corr),
+    }
+}
+
+/// The thread-parked scratch of a pack-per-call integer product: the `A`
+/// panels, the `B` panels and the sign-correction rows.
+type IntPanelStore<T> = (Vec<T>, Vec<T>, Vec<i32>);
+
+/// The pack-per-call integer product: packs both row-major operands into
+/// thread-parked panels (the whole of `K`, no blocking) and sweeps once.
+/// Under an unsigned × signed kernel `B` plays the activation role: its
+/// packed panel is sign-flipped and the rows of `A` are summed for the
+/// accumulator seeds.
+#[allow(clippy::too_many_arguments)]
+fn pack_and_sweep_int<T: PackedCode>(
+    variant: KernelVariant,
+    c: &mut [i32],
+    a: &[T],
+    b: &[T],
+    m: usize,
+    k: usize,
+    n: usize,
+    store: &std::cell::RefCell<IntPanelStore<T>>,
+) {
+    let (la, lb) = T::layouts(variant);
+    let (apack, bpack, rows) = &mut *store.borrow_mut();
+    let (a_len, b_len) = (la.elems(k, m), lb.elems(k, n));
+    if apack.len() < a_len {
+        apack.resize(a_len, T::default());
+    }
+    if bpack.len() < b_len {
+        bpack.resize(b_len, T::default());
+    }
+    let (apack, bpack) = (&mut apack[..a_len], &mut bpack[..b_len]);
+    pack_a_panels(apack, a, m, k, la.group);
+    pack_b_panels(bpack, b, n, 0, k, lb.width, lb.group);
+    let kcg = la.k_groups(k);
+    if T::unsigned_activations(variant) {
+        for v in bpack.iter_mut() {
+            *v = v.flip();
+        }
+        rows.resize(m.next_multiple_of(la.width), 0);
+        row_sign_corrections(rows, a, m, k);
+        T::sweep(variant, c, m, n, kcg, apack, bpack, SignCorr::Rows(rows));
+    } else {
+        T::sweep(variant, c, m, n, kcg, apack, bpack, SignCorr::None);
+    }
 }
 
 /// `C[M×N] = A[M×K] · B[K×N]` over `i8` operands with exact `i32`
 /// accumulation — the Cube Unit's datapath on flat slices, using the
 /// process-wide [`crate::simd::active`] kernel variant. No saturation:
-/// `K ≤ 2^15` keeps the result well inside `i32`.
+/// `K ≤ 2^15` keeps the result well inside `i32`. Packs both operands on
+/// every call; a constant operand belongs in [`PackedWeights`].
 ///
 /// # Panics
 ///
@@ -509,62 +1227,23 @@ pub fn gemm_i8_i32_into_with(
     k: usize,
     n: usize,
 ) {
-    if !check_and_clear("gemm_i8_i32_into", c, a, b, m, k, n) {
+    if !check_dims("gemm_i8_i32_into", c, a, b, m, k, n) {
         return;
     }
     thread_local! {
-        static B_PANEL: std::cell::RefCell<Vec<i8>> =
-            const { std::cell::RefCell::new(Vec::new()) };
+        static PANELS: std::cell::RefCell<IntPanelStore<i8>> =
+            const { std::cell::RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
     }
-    B_PANEL.with(|cell| {
-        let bp = &mut *cell.borrow_mut();
-        match variant {
-            #[cfg(target_arch = "x86_64")]
-            KernelVariant::Avx2 => {
-                packed_driver::<_, _, 8, 8, 2>(c, a, b, m, k, n, bp, |acc, ap, bpn, kg| {
-                    // SAFETY: the caller-selected variant was feature-checked.
-                    unsafe { x86::i8_8x8_madd_avx2(acc, ap, bpn, kg) }
-                })
-            }
-            #[cfg(target_arch = "x86_64")]
-            KernelVariant::Avx512 => {
-                packed_driver::<_, _, 8, 16, 2>(c, a, b, m, k, n, bp, |acc, ap, bpn, kg| {
-                    // SAFETY: as above.
-                    unsafe { x86::i8_8x16_madd_avx512(acc, ap, bpn, kg) }
-                })
-            }
-            #[cfg(target_arch = "x86_64")]
-            KernelVariant::Avx512Vnni => {
-                packed_driver::<_, _, 8, 16, 4>(c, a, b, m, k, n, bp, |acc, ap, bpn, kg| {
-                    // SAFETY: as above.
-                    unsafe { x86::i8_8x16_vnni(acc, ap, bpn, kg) }
-                })
-            }
-            #[cfg(target_arch = "aarch64")]
-            KernelVariant::Neon => {
-                packed_driver::<_, _, 8, 8, 2>(c, a, b, m, k, n, bp, |acc, ap, bpn, kg| {
-                    // SAFETY: as above.
-                    unsafe { neon::i8_8x8_pair_neon(acc, ap, bpn, kg) }
-                })
-            }
-            #[cfg(target_arch = "aarch64")]
-            KernelVariant::NeonDot => {
-                packed_driver::<_, _, 8, 8, 4>(c, a, b, m, k, n, bp, |acc, ap, bpn, kg| {
-                    // SAFETY: as above.
-                    unsafe { neon::i8_8x8_dot_neon(acc, ap, bpn, kg) }
-                })
-            }
-            _ => packed_driver::<_, _, MR, NR, 1>(c, a, b, m, k, n, bp, scalar_micro),
-        }
-    });
+    PANELS.with(|store| pack_and_sweep_int(variant, c, a, b, m, k, n, store));
 }
 
 /// `C[M×N] = A[M×K] · B[K×N]` over `i16` operands with exact `i32`
 /// accumulation, using the process-wide [`crate::simd::active`] kernel
-/// variant. The integer tap-major Winograd path uses this for
-/// Winograd-domain codes wider than 8 bits (`int8/9`, `int8/10`); callers
-/// must keep `K · max|A| · max|B|` inside `i32`
+/// variant — for Winograd-domain codes wider than 8 bits (`int8/9`,
+/// `int8/10`). Callers must keep `K · max|A| · max|B|` inside `i32`
 /// (`IntWinogradConv` checks this and falls back to the per-tile path).
+/// Packs both operands on every call; a constant operand belongs in
+/// [`PackedWeights`].
 ///
 /// # Panics
 ///
@@ -590,60 +1269,29 @@ pub fn gemm_i16_i32_into_with(
     k: usize,
     n: usize,
 ) {
-    if !check_and_clear("gemm_i16_i32_into", c, a, b, m, k, n) {
+    if !check_dims("gemm_i16_i32_into", c, a, b, m, k, n) {
         return;
     }
     thread_local! {
-        static B_PANEL: std::cell::RefCell<Vec<i16>> =
-            const { std::cell::RefCell::new(Vec::new()) };
+        static PANELS: std::cell::RefCell<IntPanelStore<i16>> =
+            const { std::cell::RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
     }
-    B_PANEL.with(|cell| {
-        let bp = &mut *cell.borrow_mut();
-        match variant {
-            #[cfg(target_arch = "x86_64")]
-            KernelVariant::Avx2 => {
-                packed_driver::<_, _, 8, 8, 2>(c, a, b, m, k, n, bp, |acc, ap, bpn, kg| {
-                    // SAFETY: the caller-selected variant was feature-checked.
-                    unsafe { x86::i16_8x8_madd_avx2(acc, ap, bpn, kg) }
-                })
-            }
-            #[cfg(target_arch = "x86_64")]
-            KernelVariant::Avx512 => {
-                packed_driver::<_, _, 8, 16, 2>(c, a, b, m, k, n, bp, |acc, ap, bpn, kg| {
-                    // SAFETY: as above.
-                    unsafe { x86::i16_8x16_madd_avx512(acc, ap, bpn, kg) }
-                })
-            }
-            #[cfg(target_arch = "x86_64")]
-            KernelVariant::Avx512Vnni => {
-                packed_driver::<_, _, 8, 16, 2>(c, a, b, m, k, n, bp, |acc, ap, bpn, kg| {
-                    // SAFETY: as above.
-                    unsafe { x86::i16_8x16_dpwssd(acc, ap, bpn, kg) }
-                })
-            }
-            #[cfg(target_arch = "aarch64")]
-            KernelVariant::Neon | KernelVariant::NeonDot => {
-                packed_driver::<_, _, 8, 8, 1>(c, a, b, m, k, n, bp, |acc, ap, bpn, kc| {
-                    // SAFETY: as above.
-                    unsafe { neon::i16_8x8_neon(acc, ap, bpn, kc) }
-                })
-            }
-            _ => packed_driver::<_, _, MR, NR, 1>(c, a, b, m, k, n, bp, scalar_micro),
-        }
-    });
+    PANELS.with(|store| pack_and_sweep_int(variant, c, a, b, m, k, n, store));
 }
 
 /// x86-64 microkernels. Every function is `unsafe` because it requires its
 /// `target_feature` set; the dispatch layer (or the `_with` caller) verifies
-/// support before any call. All panel loads are exactly in-bounds: the driver
-/// zero-pads both operands to the kernel's fixed row widths.
+/// support before any call. All panel loads are exactly in-bounds (both
+/// operands are padded to the kernel's fixed row widths), and every kernel
+/// **stores** its full `MR × NR` accumulator tile at `c + r · ldc` — the driver
+/// hands it either a full interior tile of `C` or a stack tile.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use core::arch::x86_64::*;
 
     /// 8×8 `f32` FMA kernel: one broadcast per A row, 8 ymm accumulators.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn f32_8x8_avx2(acc: &mut [[f32; 8]; 8], ap: &[f32], bp: &[f32], kc: usize) {
+    pub unsafe fn f32_8x8_avx2(c: *mut f32, ldc: usize, ap: &[f32], bp: &[f32], kc: usize) {
         let a = ap.as_ptr();
         let b = bp.as_ptr();
         let mut regs = [_mm256_setzero_ps(); 8];
@@ -654,13 +1302,13 @@ mod x86 {
             }
         }
         for (r, reg) in regs.iter().enumerate() {
-            _mm256_storeu_ps(acc[r].as_mut_ptr(), *reg);
+            _mm256_storeu_ps(c.add(r * ldc), *reg);
         }
     }
 
     /// Thin 4×16 `f32` FMA kernel (two ymm columns × four rows) for `m ≤ 4`.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn f32_4x16_avx2(acc: &mut [[f32; 16]; 4], ap: &[f32], bp: &[f32], kc: usize) {
+    pub unsafe fn f32_4x16_avx2(c: *mut f32, ldc: usize, ap: &[f32], bp: &[f32], kc: usize) {
         let a = ap.as_ptr();
         let b = bp.as_ptr();
         let mut lo = [_mm256_setzero_ps(); 4];
@@ -675,14 +1323,14 @@ mod x86 {
             }
         }
         for r in 0..4 {
-            _mm256_storeu_ps(acc[r].as_mut_ptr(), lo[r]);
-            _mm256_storeu_ps(acc[r].as_mut_ptr().add(8), hi[r]);
+            _mm256_storeu_ps(c.add(r * ldc), lo[r]);
+            _mm256_storeu_ps(c.add(r * ldc).add(8), hi[r]);
         }
     }
 
     /// 8×16 `f32` FMA kernel on zmm registers.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn f32_8x16_avx512(acc: &mut [[f32; 16]; 8], ap: &[f32], bp: &[f32], kc: usize) {
+    pub unsafe fn f32_8x16_avx512(c: *mut f32, ldc: usize, ap: &[f32], bp: &[f32], kc: usize) {
         let a = ap.as_ptr();
         let b = bp.as_ptr();
         let mut regs = [_mm512_setzero_ps(); 8];
@@ -693,13 +1341,13 @@ mod x86 {
             }
         }
         for (r, reg) in regs.iter().enumerate() {
-            _mm512_storeu_ps(acc[r].as_mut_ptr(), *reg);
+            _mm512_storeu_ps(c.add(r * ldc), *reg);
         }
     }
 
     /// Thin 4×32 `f32` FMA kernel (two zmm columns × four rows) for `m ≤ 4`.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn f32_4x32_avx512(acc: &mut [[f32; 32]; 4], ap: &[f32], bp: &[f32], kc: usize) {
+    pub unsafe fn f32_4x32_avx512(c: *mut f32, ldc: usize, ap: &[f32], bp: &[f32], kc: usize) {
         let a = ap.as_ptr();
         let b = bp.as_ptr();
         let mut lo = [_mm512_setzero_ps(); 4];
@@ -714,8 +1362,8 @@ mod x86 {
             }
         }
         for r in 0..4 {
-            _mm512_storeu_ps(acc[r].as_mut_ptr(), lo[r]);
-            _mm512_storeu_ps(acc[r].as_mut_ptr().add(16), hi[r]);
+            _mm512_storeu_ps(c.add(r * ldc), lo[r]);
+            _mm512_storeu_ps(c.add(r * ldc).add(16), hi[r]);
         }
     }
 
@@ -736,7 +1384,7 @@ mod x86 {
     /// 2^31`, so `vpmaddwd`'s only saturation case (both products
     /// `(-2^15)^2`) is unreachable from i8 operands.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn i8_8x8_madd_avx2(acc: &mut [[i32; 8]; 8], ap: &[i8], bp: &[i8], kg: usize) {
+    pub unsafe fn i8_8x8_madd_avx2(c: *mut i32, ldc: usize, ap: &[i8], bp: &[i8], kg: usize) {
         let a = ap.as_ptr();
         let b = bp.as_ptr();
         let mut regs = [_mm256_setzero_si256(); 8];
@@ -748,7 +1396,7 @@ mod x86 {
             }
         }
         for (r, reg) in regs.iter().enumerate() {
-            _mm256_storeu_si256(acc[r].as_mut_ptr() as *mut __m256i, *reg);
+            _mm256_storeu_si256(c.add(r * ldc) as *mut __m256i, *reg);
         }
     }
 
@@ -757,7 +1405,7 @@ mod x86 {
     /// byte→word widen are AVX-512BW instructions — the `avx512` variant
     /// requires BW at detection.
     #[target_feature(enable = "avx512f,avx512bw")]
-    pub unsafe fn i8_8x16_madd_avx512(acc: &mut [[i32; 16]; 8], ap: &[i8], bp: &[i8], kg: usize) {
+    pub unsafe fn i8_8x16_madd_avx512(c: *mut i32, ldc: usize, ap: &[i8], bp: &[i8], kg: usize) {
         let a = ap.as_ptr();
         let b = bp.as_ptr();
         let mut regs = [_mm512_setzero_si512(); 8];
@@ -769,44 +1417,83 @@ mod x86 {
             }
         }
         for (r, reg) in regs.iter().enumerate() {
-            _mm512_storeu_si512(acc[r].as_mut_ptr() as *mut __m512i, *reg);
+            _mm512_storeu_si512(c.add(r * ldc) as *mut __m512i, *reg);
         }
     }
 
-    /// 8×16 `i8 → i32` VNNI kernel: `vpdpbusd` folds a **quad** of `K`
-    /// steps per instruction, but multiplies unsigned × signed. The signed
-    /// `A` operand is offset into u8 (`a ^ 0x80 = a + 128`), which adds a
-    /// spurious `128 · Σ b[k]` per output column; a parallel ones·B
-    /// dot-product accumulates exactly that column sum, and it is
-    /// subtracted (shifted left 7) after the `K` loop. Everything stays
-    /// exact: the u8×i8 word intermediates are within i16, `vpdpbusd`
-    /// accumulates them into i32 without saturation, and the offset
-    /// accumulator is bounded by `256 · 255 · 128 · 4 « 2^31` per block.
+    /// 8×16 `i8 → i32` VNNI kernel, **unsigned `B`**: `vpdpbusd` folds a quad
+    /// of `K` steps per instruction but multiplies unsigned × signed. The
+    /// `B` panel (the vector operand) holds codes offset into u8
+    /// (`b ^ 0x80 = b + 128`, written that way by whoever produced the
+    /// panel), the `A` quads are broadcast as the signed operand, and the
+    /// spurious `128 · Σ_k a[r][k]` each row picks up is cancelled by
+    /// starting row `r`'s accumulator at `corr[r] = −128 · Σ_k a[r][k]`
+    /// (computed once when `A` was packed) — nothing sign-related is left in
+    /// the `K` loop. Exact: the u8×i8 word intermediates are within i16,
+    /// `vpdpbusd` accumulates them into i32 without saturation, and
+    /// `|corr| ≤ 2^14 · K` stays inside the GEMM's i32 contract.
+    ///
+    /// # Safety
+    ///
+    /// Besides the module contract, `corr` must point at 8 readable `i32`.
     #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
-    pub unsafe fn i8_8x16_vnni(acc: &mut [[i32; 16]; 8], ap: &[i8], bp: &[i8], kg: usize) {
+    pub unsafe fn i8_8x16_vnni_ub(
+        c: *mut i32,
+        ldc: usize,
+        ap: &[i8],
+        bp: &[i8],
+        kg: usize,
+        corr: *const i32,
+    ) {
         let a = ap.as_ptr();
         let b = bp.as_ptr();
-        let ones = _mm512_set1_epi8(1);
         let mut regs = [_mm512_setzero_si512(); 8];
-        let mut bsum = _mm512_setzero_si512();
+        for (r, reg) in regs.iter_mut().enumerate() {
+            *reg = _mm512_set1_epi32(*corr.add(r));
+        }
         for kk in 0..kg {
             let bv = _mm512_loadu_si512(b.add(kk * 64) as *const __m512i);
-            bsum = _mm512_dpbusd_epi32(bsum, ones, bv);
             for (r, reg) in regs.iter_mut().enumerate() {
-                let quad = (a.add((kk * 8 + r) * 4) as *const u32).read_unaligned();
-                let av = _mm512_set1_epi32((quad ^ 0x8080_8080) as i32);
-                *reg = _mm512_dpbusd_epi32(*reg, av, bv);
+                let quad = (a.add((kk * 8 + r) * 4) as *const i32).read_unaligned();
+                *reg = _mm512_dpbusd_epi32(*reg, bv, _mm512_set1_epi32(quad));
             }
         }
-        // The offset correction is row-independent: every row added the
-        // same `128 · Σ b` per column, and the accumulator tile is fresh
-        // per micro call, so one subtraction at the end settles all rows.
-        let corr = _mm512_slli_epi32(bsum, 7);
         for (r, reg) in regs.iter().enumerate() {
-            _mm512_storeu_si512(
-                acc[r].as_mut_ptr() as *mut __m512i,
-                _mm512_sub_epi32(*reg, corr),
-            );
+            _mm512_storeu_si512(c.add(r * ldc) as *mut __m512i, *reg);
+        }
+    }
+
+    /// 8×16 `i8 → i32` VNNI kernel, **unsigned `A`**: the mirror image of
+    /// [`i8_8x16_vnni_ub`] for the channel-laned formulation, where the
+    /// pre-offset u8 codes sit in the broadcast `A` panel and the signed
+    /// operand is the `B` vector. Every row then picks up the same
+    /// `128 · Σ_k b[k][j]` per column, cancelled by starting all rows at the
+    /// 16-lane vector `corr[j] = −128 · Σ_k b[k][j]`.
+    ///
+    /// # Safety
+    ///
+    /// Besides the module contract, `corr` must point at 16 readable `i32`.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+    pub unsafe fn i8_8x16_vnni_ua(
+        c: *mut i32,
+        ldc: usize,
+        ap: &[i8],
+        bp: &[i8],
+        kg: usize,
+        corr: *const i32,
+    ) {
+        let a = ap.as_ptr();
+        let b = bp.as_ptr();
+        let mut regs = [_mm512_loadu_si512(corr as *const __m512i); 8];
+        for kk in 0..kg {
+            let bv = _mm512_loadu_si512(b.add(kk * 64) as *const __m512i);
+            for (r, reg) in regs.iter_mut().enumerate() {
+                let quad = (a.add((kk * 8 + r) * 4) as *const i32).read_unaligned();
+                *reg = _mm512_dpbusd_epi32(*reg, _mm512_set1_epi32(quad), bv);
+            }
+        }
+        for (r, reg) in regs.iter().enumerate() {
+            _mm512_storeu_si512(c.add(r * ldc) as *mut __m512i, *reg);
         }
     }
 
@@ -823,7 +1510,7 @@ mod x86 {
     /// `2 · max|A| · max|B|` cannot reach `vpmaddwd`'s lone saturation
     /// case, and the i32 accumulation never wraps.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn i16_8x8_madd_avx2(acc: &mut [[i32; 8]; 8], ap: &[i16], bp: &[i16], kg: usize) {
+    pub unsafe fn i16_8x8_madd_avx2(c: *mut i32, ldc: usize, ap: &[i16], bp: &[i16], kg: usize) {
         let a = ap.as_ptr();
         let b = bp.as_ptr();
         let mut regs = [_mm256_setzero_si256(); 8];
@@ -835,19 +1522,14 @@ mod x86 {
             }
         }
         for (r, reg) in regs.iter().enumerate() {
-            _mm256_storeu_si256(acc[r].as_mut_ptr() as *mut __m256i, *reg);
+            _mm256_storeu_si256(c.add(r * ldc) as *mut __m256i, *reg);
         }
     }
 
     /// 8×16 `i16 → i32` paired-MAC kernel on zmm registers; same contract
     /// as [`i16_8x8_madd_avx2`].
     #[target_feature(enable = "avx512f,avx512bw")]
-    pub unsafe fn i16_8x16_madd_avx512(
-        acc: &mut [[i32; 16]; 8],
-        ap: &[i16],
-        bp: &[i16],
-        kg: usize,
-    ) {
+    pub unsafe fn i16_8x16_madd_avx512(c: *mut i32, ldc: usize, ap: &[i16], bp: &[i16], kg: usize) {
         let a = ap.as_ptr();
         let b = bp.as_ptr();
         let mut regs = [_mm512_setzero_si512(); 8];
@@ -859,7 +1541,7 @@ mod x86 {
             }
         }
         for (r, reg) in regs.iter().enumerate() {
-            _mm512_storeu_si512(acc[r].as_mut_ptr() as *mut __m512i, *reg);
+            _mm512_storeu_si512(c.add(r * ldc) as *mut __m512i, *reg);
         }
     }
 
@@ -867,7 +1549,7 @@ mod x86 {
     /// multiply-add and the i32 accumulate in one instruction with 32-bit
     /// intermediates — no i16-pair saturation case at all.
     #[target_feature(enable = "avx512f,avx512vnni")]
-    pub unsafe fn i16_8x16_dpwssd(acc: &mut [[i32; 16]; 8], ap: &[i16], bp: &[i16], kg: usize) {
+    pub unsafe fn i16_8x16_dpwssd(c: *mut i32, ldc: usize, ap: &[i16], bp: &[i16], kg: usize) {
         let a = ap.as_ptr();
         let b = bp.as_ptr();
         let mut regs = [_mm512_setzero_si512(); 8];
@@ -879,7 +1561,7 @@ mod x86 {
             }
         }
         for (r, reg) in regs.iter().enumerate() {
-            _mm512_storeu_si512(acc[r].as_mut_ptr() as *mut __m512i, *reg);
+            _mm512_storeu_si512(c.add(r * ldc) as *mut __m512i, *reg);
         }
     }
 }
@@ -891,7 +1573,7 @@ mod neon {
 
     /// 8×8 `f32` kernel: two q-register columns per row, fused accumulate.
     #[target_feature(enable = "neon")]
-    pub unsafe fn f32_8x8_neon(acc: &mut [[f32; 8]; 8], ap: &[f32], bp: &[f32], kc: usize) {
+    pub unsafe fn f32_8x8_neon(c: *mut f32, ldc: usize, ap: &[f32], bp: &[f32], kc: usize) {
         let a = ap.as_ptr();
         let b = bp.as_ptr();
         let mut lo = [vdupq_n_f32(0.0); 8];
@@ -906,14 +1588,14 @@ mod neon {
             }
         }
         for r in 0..8 {
-            vst1q_f32(acc[r].as_mut_ptr(), lo[r]);
-            vst1q_f32(acc[r].as_mut_ptr().add(4), hi[r]);
+            vst1q_f32(c.add(r * ldc), lo[r]);
+            vst1q_f32(c.add(r * ldc).add(4), hi[r]);
         }
     }
 
     /// Thin 4×16 `f32` kernel (four q-register columns × four rows).
     #[target_feature(enable = "neon")]
-    pub unsafe fn f32_4x16_neon(acc: &mut [[f32; 16]; 4], ap: &[f32], bp: &[f32], kc: usize) {
+    pub unsafe fn f32_4x16_neon(c: *mut f32, ldc: usize, ap: &[f32], bp: &[f32], kc: usize) {
         let a = ap.as_ptr();
         let b = bp.as_ptr();
         let mut regs = [[vdupq_n_f32(0.0); 4]; 4];
@@ -926,14 +1608,14 @@ mod neon {
             ];
             for r in 0..4 {
                 let av = *a.add(kk * 4 + r);
-                for c in 0..4 {
-                    regs[r][c] = vfmaq_n_f32(regs[r][c], bv[c], av);
+                for q in 0..4 {
+                    regs[r][q] = vfmaq_n_f32(regs[r][q], bv[q], av);
                 }
             }
         }
         for r in 0..4 {
-            for c in 0..4 {
-                vst1q_f32(acc[r].as_mut_ptr().add(c * 4), regs[r][c]);
+            for q in 0..4 {
+                vst1q_f32(c.add(r * ldc).add(q * 4), regs[r][q]);
             }
         }
     }
@@ -945,7 +1627,7 @@ mod neon {
     /// instruction pair. Exact: the i16 products are bounded by
     /// `128 · 128 = 2^14` and `sadalp` adds them in i32.
     #[target_feature(enable = "neon")]
-    pub unsafe fn i8_8x8_pair_neon(acc: &mut [[i32; 8]; 8], ap: &[i8], bp: &[i8], kg: usize) {
+    pub unsafe fn i8_8x8_pair_neon(c: *mut i32, ldc: usize, ap: &[i8], bp: &[i8], kg: usize) {
         let a = ap.as_ptr();
         let b = bp.as_ptr();
         let mut lo = [vdupq_n_s32(0); 8];
@@ -962,8 +1644,8 @@ mod neon {
             }
         }
         for r in 0..8 {
-            vst1q_s32(acc[r].as_mut_ptr(), lo[r]);
-            vst1q_s32(acc[r].as_mut_ptr().add(4), hi[r]);
+            vst1q_s32(c.add(r * ldc), lo[r]);
+            vst1q_s32(c.add(r * ldc).add(4), hi[r]);
         }
     }
 
@@ -971,7 +1653,7 @@ mod neon {
     /// steps per column lane in one instruction (signed × signed, exact
     /// i32 accumulation — no sign-offset needed, unlike `vpdpbusd`).
     #[target_feature(enable = "neon,dotprod")]
-    pub unsafe fn i8_8x8_dot_neon(acc: &mut [[i32; 8]; 8], ap: &[i8], bp: &[i8], kg: usize) {
+    pub unsafe fn i8_8x8_dot_neon(c: *mut i32, ldc: usize, ap: &[i8], bp: &[i8], kg: usize) {
         let a = ap.as_ptr();
         let b = bp.as_ptr();
         let mut lo = [vdupq_n_s32(0); 8];
@@ -987,15 +1669,15 @@ mod neon {
             }
         }
         for r in 0..8 {
-            vst1q_s32(acc[r].as_mut_ptr(), lo[r]);
-            vst1q_s32(acc[r].as_mut_ptr().add(4), hi[r]);
+            vst1q_s32(c.add(r * ldc), lo[r]);
+            vst1q_s32(c.add(r * ldc).add(4), hi[r]);
         }
     }
 
     /// 8×8 `i16 → i32` kernel via widening multiply-accumulate — exact for
     /// the ≤ 15-bit Winograd-domain codes the integer pipeline admits.
     #[target_feature(enable = "neon")]
-    pub unsafe fn i16_8x8_neon(acc: &mut [[i32; 8]; 8], ap: &[i16], bp: &[i16], kc: usize) {
+    pub unsafe fn i16_8x8_neon(c: *mut i32, ldc: usize, ap: &[i16], bp: &[i16], kc: usize) {
         let a = ap.as_ptr();
         let b = bp.as_ptr();
         let mut lo = [vdupq_n_s32(0); 8];
@@ -1011,8 +1693,8 @@ mod neon {
             }
         }
         for r in 0..8 {
-            vst1q_s32(acc[r].as_mut_ptr(), lo[r]);
-            vst1q_s32(acc[r].as_mut_ptr().add(4), hi[r]);
+            vst1q_s32(c.add(r * ldc), lo[r]);
+            vst1q_s32(c.add(r * ldc).add(4), hi[r]);
         }
     }
 }

@@ -47,7 +47,8 @@ pub use conv::{conv2d_direct, conv2d_direct_i8, ConvParams};
 pub use gemm::{
     gemm_f32, gemm_f32_b_panel_elems, gemm_f32_into, gemm_f32_into_with, gemm_i16_b_panel_elems,
     gemm_i16_i32_into, gemm_i16_i32_into_with, gemm_i8_b_panel_elems, gemm_i8_i32,
-    gemm_i8_i32_into, gemm_i8_i32_into_with, Gemm,
+    gemm_i8_i32_into, gemm_i8_i32_into_with, gemm_packed_i32_into, Gemm, PackedCode, PackedWeights,
+    PanelLayout,
 };
 pub use im2col::{conv2d_im2col, im2col};
 pub use init::{kaiming_normal, normal, uniform, TensorInit};

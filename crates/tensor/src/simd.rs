@@ -23,9 +23,14 @@
 //!
 //! # Quantize/requant primitives
 //!
-//! [`quantize_f32_i8`], [`quantize_i32_i16`] and [`requant_f32`] vectorize
-//! the integer Winograd pipeline's scale+round+clamp steps (input
-//! quantization, tap-wise requantization, and the requant/dequant epilogue).
+//! [`quantize_f32_i8`], [`quantize_i32_i8_panel`] / [`quantize_i32_i16_panel`]
+//! and [`requant_f32`] vectorize the integer Winograd pipeline's
+//! scale+round+clamp steps (input quantization, tap-wise requantization, and
+//! the requant/dequant epilogue). The tap-wise requantization writes its
+//! codes **directly in the `K`-grouped panel layout the integer GEMM
+//! microkernel reads** ([`PanelSlot`]), so no pack pass runs between the
+//! input transform and the tap GEMMs; [`quantize_i32_i16`] is its contiguous
+//! special case.
 //! They are **bit-identical across variants for finite inputs**: every
 //! variant divides (IEEE-exact), rounds half-to-even (`cvtps`/`vcvtnq`
 //! hardware rounding = `f32::round_ties_even`) and clamps in the float
@@ -206,6 +211,9 @@ pub fn active() -> KernelVariant {
 // indirect call over hundreds of lanes.
 // ---------------------------------------------------------------------------
 
+/// `(dst, src, scale, lo, hi, flip, slot)` — see [`quantize_i32_i8_panel`].
+type PanelQuantize<E> = fn(&mut [E], &[i32], f32, i32, i32, bool, PanelSlot);
+
 /// The resolved SoA primitive implementations of the active variant.
 struct SoaOps {
     axpy_f32: fn(&mut [f32], f32, &[f32]),
@@ -213,7 +221,8 @@ struct SoaOps {
     axpy_i32: fn(&mut [i32], i32, &[i32]),
     scale_i32_f32: fn(&mut [f32], &[i32], f32),
     quantize_f32_i8: fn(&mut [i8], &[f32], f32, f32, i32, i32),
-    quantize_i32_i16: fn(&mut [i16], &[i32], f32, i32, i32),
+    quantize_i32_i8_panel: PanelQuantize<i8>,
+    quantize_i32_i16_panel: PanelQuantize<i16>,
     requant_f32: fn(&mut [f32], &[f32], f32, f32, i32, i32),
 }
 
@@ -229,7 +238,8 @@ fn soa_ops_for(variant: KernelVariant) -> SoaOps {
             axpy_i32: x86::axpy_i32_avx2,
             scale_i32_f32: x86::scale_i32_f32_avx2,
             quantize_f32_i8: x86::quantize_f32_i8_avx2,
-            quantize_i32_i16: x86::quantize_i32_i16_avx2,
+            quantize_i32_i8_panel: x86::quantize_panel_avx2::<i8>,
+            quantize_i32_i16_panel: x86::quantize_panel_avx2::<i16>,
             requant_f32: x86::requant_f32_avx2,
         },
         #[cfg(target_arch = "x86_64")]
@@ -239,7 +249,8 @@ fn soa_ops_for(variant: KernelVariant) -> SoaOps {
             axpy_i32: x86::axpy_i32_avx512,
             scale_i32_f32: x86::scale_i32_f32_avx512,
             quantize_f32_i8: x86::quantize_f32_i8_avx512,
-            quantize_i32_i16: x86::quantize_i32_i16_avx512,
+            quantize_i32_i8_panel: x86::quantize_panel_avx512::<i8>,
+            quantize_i32_i16_panel: x86::quantize_panel_avx512::<i16>,
             requant_f32: x86::requant_f32_avx512,
         },
         #[cfg(target_arch = "aarch64")]
@@ -249,7 +260,8 @@ fn soa_ops_for(variant: KernelVariant) -> SoaOps {
             axpy_i32: neon::axpy_i32_neon,
             scale_i32_f32: neon::scale_i32_f32_neon,
             quantize_f32_i8: neon::quantize_f32_i8_neon,
-            quantize_i32_i16: neon::quantize_i32_i16_neon,
+            quantize_i32_i8_panel: neon::quantize_panel_neon::<i8>,
+            quantize_i32_i16_panel: neon::quantize_panel_neon::<i16>,
             requant_f32: neon::requant_f32_neon,
         },
         _ => SoaOps {
@@ -258,7 +270,8 @@ fn soa_ops_for(variant: KernelVariant) -> SoaOps {
             axpy_i32: axpy_i32_scalar,
             scale_i32_f32: scale_i32_f32_scalar,
             quantize_f32_i8: quantize_f32_i8_scalar,
-            quantize_i32_i16: quantize_i32_i16_scalar,
+            quantize_i32_i8_panel: quantize_panel_scalar::<i8>,
+            quantize_i32_i16_panel: quantize_panel_scalar::<i16>,
             requant_f32: requant_f32_scalar,
         },
     }
@@ -352,18 +365,185 @@ pub fn quantize_f32_i8_with(
     (soa_ops_for(variant).quantize_f32_i8)(dst, src, scale, bias, lo, hi);
 }
 
+/// Where the lane row of one `K` index lands inside a `K`-grouped GEMM panel
+/// (`[panel][k group][width][group]`, see `gemm.rs`): lane `j` goes to
+/// [`PanelSlot::offset`] past the start of the row's `K` group.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PanelSlot {
+    /// Lanes per panel (the microkernel's `NR` or `MR`).
+    pub width: usize,
+    /// `K` steps interleaved per lane (`G`).
+    pub group: usize,
+    /// Elements between consecutive panels.
+    pub chunk_stride: usize,
+    /// This row's position inside its `K` group (`< group`).
+    pub g: usize,
+}
+
+impl PanelSlot {
+    /// Lane `j` lands at `dst[j]`: one panel as wide as any row.
+    pub const CONTIGUOUS: PanelSlot = PanelSlot {
+        width: usize::MAX & !63,
+        group: 1,
+        chunk_stride: 0,
+        g: 0,
+    };
+
+    /// Element offset of lane `j`.
+    #[inline(always)]
+    pub fn offset(self, j: usize) -> usize {
+        (j / self.width) * self.chunk_stride + (j % self.width) * self.group + self.g
+    }
+
+    /// Checks a `lanes`-lane write through this slot stays inside `dst_len`
+    /// elements and that the clamp range fits `E`.
+    fn check<E: PanelCode>(self, dst_len: usize, lanes: usize, lo: i32, hi: i32) {
+        assert!(self.g < self.group && self.width > 0, "PanelSlot: bad slot");
+        // One past the last lane's `K` group (no division on the common
+        // single-panel row: this runs once per quantized row).
+        let end = if lanes <= self.width {
+            lanes * self.group
+        } else {
+            self.offset(lanes - 1) - self.g + self.group
+        };
+        assert!(end <= dst_len, "quantize panel: destination too short");
+        assert!(
+            lo >= E::MIN && hi <= E::MAX && lo <= hi,
+            "quantize panel: clamp range"
+        );
+    }
+}
+
+/// Walks the lane slots of a [`PanelSlot`] in order without dividing per
+/// lane: `at()` is the element offset of the current lane's `K` group.
+struct SlotCursor {
+    slot: PanelSlot,
+    panel_at: usize,
+    within: usize,
+}
+
+impl SlotCursor {
+    fn new(slot: PanelSlot, lane: usize) -> Self {
+        // Rows start at lane 0 and tails usually sit in the first panel:
+        // keep the division off that path.
+        let (panel, within) = if lane < slot.width {
+            (0, lane)
+        } else {
+            (lane / slot.width, lane % slot.width)
+        };
+        Self {
+            slot,
+            panel_at: panel * slot.chunk_stride,
+            within,
+        }
+    }
+
+    #[inline(always)]
+    fn at(&self) -> usize {
+        self.panel_at + self.within * self.slot.group
+    }
+
+    /// Steps `lanes` lanes on; `lanes` must divide the panel width (or be 1).
+    #[inline(always)]
+    fn advance(&mut self, lanes: usize) {
+        self.within += lanes;
+        if self.within >= self.slot.width {
+            self.within = 0;
+            self.panel_at += self.slot.chunk_stride;
+        }
+    }
+}
+
+/// `dst[slot.offset(j)] = clamp(round_ties_even(src[j] as f32 / scale), lo,
+/// hi) as i8`, XORed with the sign bit when `flip` — the tap-wise
+/// requantization of the integer input transform (`S_B`) at ≤ 8
+/// Winograd-domain bits, written straight into the GEMM panel (`flip` is the
+/// `u8 = code + 128` form an unsigned × signed dot-product kernel reads).
+/// Only the addressed element of each `K` group is written; its neighbours
+/// (the other `K` steps of the group) are left alone. Bit-identical across
+/// variants (the `i32 → f32` conversion is exact for the pipeline's bounded
+/// sums).
+///
+/// # Panics
+///
+/// Panics if `dst` is shorter than the slot needs, `[lo, hi] ⊄ i8` or
+/// `slot.g >= slot.group`.
+pub fn quantize_i32_i8_panel(
+    dst: &mut [i8],
+    src: &[i32],
+    scale: f32,
+    lo: i32,
+    hi: i32,
+    flip: bool,
+    slot: PanelSlot,
+) {
+    slot.check::<i8>(dst.len(), src.len(), lo, hi);
+    (soa_ops().quantize_i32_i8_panel)(dst, src, scale, lo, hi, flip, slot);
+}
+
+/// [`quantize_i32_i8_panel`] with an explicit kernel variant (tests/benches).
+/// A variant foreign to this build's architecture runs the scalar body.
+#[allow(clippy::too_many_arguments)]
+pub fn quantize_i32_i8_panel_with(
+    variant: KernelVariant,
+    dst: &mut [i8],
+    src: &[i32],
+    scale: f32,
+    lo: i32,
+    hi: i32,
+    flip: bool,
+    slot: PanelSlot,
+) {
+    slot.check::<i8>(dst.len(), src.len(), lo, hi);
+    (soa_ops_for(variant).quantize_i32_i8_panel)(dst, src, scale, lo, hi, flip, slot);
+}
+
+/// [`quantize_i32_i8_panel`] producing `i16` codes (Winograd-domain
+/// bit-widths above 8).
+///
+/// # Panics
+///
+/// Panics if `dst` is shorter than the slot needs, `[lo, hi] ⊄ i16` or
+/// `slot.g >= slot.group`.
+pub fn quantize_i32_i16_panel(
+    dst: &mut [i16],
+    src: &[i32],
+    scale: f32,
+    lo: i32,
+    hi: i32,
+    flip: bool,
+    slot: PanelSlot,
+) {
+    slot.check::<i16>(dst.len(), src.len(), lo, hi);
+    (soa_ops().quantize_i32_i16_panel)(dst, src, scale, lo, hi, flip, slot);
+}
+
+/// [`quantize_i32_i16_panel`] with an explicit kernel variant
+/// (tests/benches).
+#[allow(clippy::too_many_arguments)]
+pub fn quantize_i32_i16_panel_with(
+    variant: KernelVariant,
+    dst: &mut [i16],
+    src: &[i32],
+    scale: f32,
+    lo: i32,
+    hi: i32,
+    flip: bool,
+    slot: PanelSlot,
+) {
+    slot.check::<i16>(dst.len(), src.len(), lo, hi);
+    (soa_ops_for(variant).quantize_i32_i16_panel)(dst, src, scale, lo, hi, flip, slot);
+}
+
 /// `dst[i] = clamp(round_ties_even(src[i] as f32 / scale), lo, hi) as i16` —
-/// the tap-wise requantization of the integer input transform (`S_B`): `i32`
-/// transform sums to Winograd-domain codes. Bit-identical across variants
-/// (the `i32 → f32` conversion is exact for the pipeline's bounded sums).
+/// [`quantize_i32_i16_panel`] onto a contiguous row.
 ///
 /// # Panics
 ///
 /// Panics if the slices disagree in length or `[lo, hi] ⊄ i16`.
 pub fn quantize_i32_i16(dst: &mut [i16], src: &[i32], scale: f32, lo: i32, hi: i32) {
     assert_eq!(dst.len(), src.len(), "quantize_i32_i16: length mismatch");
-    assert!(lo >= i32::from(i16::MIN) && hi <= i32::from(i16::MAX) && lo <= hi);
-    (soa_ops().quantize_i32_i16)(dst, src, scale, lo, hi);
+    quantize_i32_i16_panel(dst, src, scale, lo, hi, false, PanelSlot::CONTIGUOUS);
 }
 
 /// [`quantize_i32_i16`] with an explicit kernel variant (tests/benches).
@@ -376,8 +556,8 @@ pub fn quantize_i32_i16_with(
     hi: i32,
 ) {
     assert_eq!(dst.len(), src.len(), "quantize_i32_i16: length mismatch");
-    assert!(lo >= i32::from(i16::MIN) && hi <= i32::from(i16::MAX) && lo <= hi);
-    (soa_ops_for(variant).quantize_i32_i16)(dst, src, scale, lo, hi);
+    let slot = PanelSlot::CONTIGUOUS;
+    quantize_i32_i16_panel_with(variant, dst, src, scale, lo, hi, false, slot);
 }
 
 /// `dst[i] = clamp(round_ties_even((src[i] + bias) / scale), lo, hi) as f32 ·
@@ -459,10 +639,86 @@ fn quantize_f32_i8_scalar(dst: &mut [i8], src: &[f32], scale: f32, bias: f32, lo
     }
 }
 
-fn quantize_i32_i16_scalar(dst: &mut [i16], src: &[i32], scale: f32, lo: i32, hi: i32) {
-    for (d, &s) in dst.iter_mut().zip(src.iter()) {
-        *d = quantize_step(s as f32, scale, 0.0, lo, hi) as i16;
+/// A Winograd-domain code type a panel quantizer can emit (`i8`, `i16`).
+trait PanelCode: Copy {
+    const MIN: i32;
+    const MAX: i32;
+    /// Narrows a clamped code, XORing the sign bit in when `flip`.
+    fn from_code(code: i32, flip: bool) -> Self;
+}
+
+impl PanelCode for i8 {
+    const MIN: i32 = i8::MIN as i32;
+    const MAX: i32 = i8::MAX as i32;
+    #[inline(always)]
+    fn from_code(code: i32, flip: bool) -> Self {
+        code as i8 ^ if flip { i8::MIN } else { 0 }
     }
+}
+
+impl PanelCode for i16 {
+    const MIN: i32 = i16::MIN as i32;
+    const MAX: i32 = i16::MAX as i32;
+    #[inline(always)]
+    fn from_code(code: i32, flip: bool) -> Self {
+        code as i16 ^ if flip { i16::MIN } else { 0 }
+    }
+}
+
+/// Lanes `first..src.len()` of a panel quantization, one element at a time —
+/// the scalar reference and the tail of every vector body.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn quantize_panel_tail<E: PanelCode>(
+    dst: &mut [E],
+    src: &[i32],
+    first: usize,
+    scale: f32,
+    lo: i32,
+    hi: i32,
+    flip: bool,
+    slot: PanelSlot,
+) {
+    let mut cur = SlotCursor::new(slot, first);
+    for &s in &src[first..] {
+        let code = quantize_step(s as f32, scale, 0.0, lo, hi);
+        dst[cur.at() + slot.g] = E::from_code(code, flip);
+        cur.advance(1);
+    }
+}
+
+fn quantize_panel_scalar<E: PanelCode>(
+    dst: &mut [E],
+    src: &[i32],
+    scale: f32,
+    lo: i32,
+    hi: i32,
+    flip: bool,
+    slot: PanelSlot,
+) {
+    quantize_panel_tail(dst, src, 0, scale, lo, hi, flip, slot);
+}
+
+#[cfg(test)]
+fn quantize_i32_i16_scalar(dst: &mut [i16], src: &[i32], scale: f32, lo: i32, hi: i32) {
+    quantize_panel_scalar(dst, src, scale, lo, hi, false, PanelSlot::CONTIGUOUS);
+}
+
+/// The per-lane byte mask and field shift of one vector body: a lane's slot
+/// is `size_of::<E>() · group` bytes (1, 2 or 4), of which this row owns the
+/// `size_of::<E>()` bytes at byte offset `size_of::<E>() · g`. Returns
+/// `(slot_bytes, owned-byte bitmask within the slot, field shift in bits)`,
+/// or `None` when the slot is wider than a 32-bit lane or the panel width
+/// is not a whole number of `lanes`-lane vectors.
+#[allow(dead_code)] // unused on targets without a vector body
+fn lane_field<E>(slot: PanelSlot, lanes: usize) -> Option<(usize, u32, u32)> {
+    let e = std::mem::size_of::<E>();
+    let slot_bytes = e * slot.group;
+    if slot_bytes > 4 || !slot.width.is_multiple_of(lanes) {
+        return None;
+    }
+    let owned = ((1u32 << e) - 1) << (e * slot.g);
+    Some((slot_bytes, owned, (8 * e * slot.g) as u32))
 }
 
 fn requant_f32_scalar(dst: &mut [f32], src: &[f32], scale: f32, bias: f32, lo: i32, hi: i32) {
@@ -474,8 +730,8 @@ fn requant_f32_scalar(dst: &mut [f32], src: &[f32], scale: f32, bias: f32, lo: i
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{
-        axpy_f32_scalar, axpy_i32_scalar, quantize_f32_i8_scalar, quantize_i32_i16_scalar,
-        requant_f32_scalar, scale_i32_f32_scalar,
+        axpy_f32_scalar, axpy_i32_scalar, lane_field, quantize_f32_i8_scalar, quantize_panel_tail,
+        requant_f32_scalar, scale_i32_f32_scalar, PanelCode, PanelSlot, SlotCursor,
     };
     use core::arch::x86_64::*;
 
@@ -527,38 +783,100 @@ mod x86 {
         quantize_f32_i8_scalar(&mut dst[i..], &src[i..], scale, bias, lo, hi);
     }
 
-    pub fn quantize_i32_i16_avx2(dst: &mut [i16], src: &[i32], scale: f32, lo: i32, hi: i32) {
-        // SAFETY: dispatch verified avx2 support.
-        unsafe { quantize_i32_i16_avx2_impl(dst, src, scale, lo, hi) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn quantize_i32_i16_avx2_impl(
-        dst: &mut [i16],
+    pub fn quantize_panel_avx2<E: PanelCode>(
+        dst: &mut [E],
         src: &[i32],
         scale: f32,
         lo: i32,
         hi: i32,
+        flip: bool,
+        slot: PanelSlot,
     ) {
-        let n = dst.len();
-        let (d, s) = (dst.as_mut_ptr(), src.as_ptr());
+        // SAFETY: dispatch verified avx2 support; the public entry checked
+        // that every lane's slot lies inside `dst`.
+        unsafe { quantize_panel_avx2_impl(dst, src, scale, lo, hi, flip, slot) }
+    }
+
+    /// Eight lanes per step, then the scalar tail.
+    ///
+    /// # Safety
+    ///
+    /// Requires avx2, and `dst` must hold the slot of every lane of `src`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn quantize_panel_avx2_impl<E: PanelCode>(
+        dst: &mut [E],
+        src: &[i32],
+        scale: f32,
+        lo: i32,
+        hi: i32,
+        flip: bool,
+        slot: PanelSlot,
+    ) {
+        let Some((slot_bytes, owned, shift)) = lane_field::<E>(slot, 8) else {
+            return quantize_panel_tail(dst, src, 0, scale, lo, hi, flip, slot);
+        };
+        // Byte selector: 0xFF on the bytes this row owns in every lane slot.
+        let mut pat = [0u8; 32];
+        for (b, m) in pat.iter_mut().enumerate() {
+            if (owned >> (b % slot_bytes)) & 1 == 1 {
+                *m = 0xFF;
+            }
+        }
+        let sel = _mm256_loadu_si256(pat.as_ptr() as *const __m256i);
+        let e_bits = 8 * std::mem::size_of::<E>() as u32;
+        let emask = _mm256_set1_epi32(((1u64 << e_bits) - 1) as i32);
+        let flipv = _mm256_set1_epi32(if flip { 1 << (e_bits - 1) } else { 0 });
+        let count = _mm_cvtsi32_si128(shift as i32);
+        // Byte 0 of each dword, gathered per 128-bit half (1-byte slots).
+        #[rustfmt::skip]
+        let shuf = _mm256_setr_epi8(
+            0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+            0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+        );
         let sc = _mm256_set1_ps(scale);
         let lov = _mm256_set1_ps(lo as f32);
         let hiv = _mm256_set1_ps(hi as f32);
+        let (n, s) = (src.len(), src.as_ptr());
+        let mut cur = SlotCursor::new(slot, 0);
         let mut i = 0;
         while i + 8 <= n {
             let v = _mm256_cvtepi32_ps(_mm256_loadu_si256(s.add(i) as *const __m256i));
             let v = _mm256_min_ps(_mm256_max_ps(_mm256_div_ps(v, sc), lov), hiv);
             let q = _mm256_cvtps_epi32(v);
-            // Already clamped to [lo, hi] ⊆ i16: the saturating pack is
-            // lossless. packs interleaves 128-bit halves, so the lanes land
-            // in qword 0 (codes 0..3) and qword 2 (codes 4..7).
-            let p = _mm256_packs_epi32(q, q);
-            (d.add(i) as *mut i64).write_unaligned(_mm256_extract_epi64(p, 0));
-            (d.add(i + 4) as *mut i64).write_unaligned(_mm256_extract_epi64(p, 2));
+            // The code's low bytes (sign-flipped on request) moved to this
+            // row's position inside the lane slot.
+            let field =
+                _mm256_sll_epi32(_mm256_xor_si256(_mm256_and_si256(q, emask), flipv), count);
+            // Lanes i..i+8 share a panel (`width % 8 == 0`), so their slots
+            // are `8 · slot_bytes` contiguous bytes from here.
+            let p = dst.as_mut_ptr().add(cur.at()) as *mut u8;
+            cur.advance(8);
+            match slot_bytes {
+                4 => {
+                    let old = _mm256_loadu_si256(p as *const __m256i);
+                    _mm256_storeu_si256(p as *mut __m256i, _mm256_blendv_epi8(old, field, sel));
+                }
+                2 => {
+                    // Fields are < 2^16: the unsigned saturating pack is
+                    // lossless. It interleaves 128-bit halves; qwords 0 and
+                    // 2 hold lanes 0..3 and 4..7.
+                    let w = _mm256_packus_epi32(field, field);
+                    let w = _mm256_castsi256_si128(_mm256_permute4x64_epi64::<0b1000>(w));
+                    let old = _mm_loadu_si128(p as *const __m128i);
+                    let new = _mm_blendv_epi8(old, w, _mm256_castsi256_si128(sel));
+                    _mm_storeu_si128(p as *mut __m128i, new);
+                }
+                _ => {
+                    let b = _mm256_shuffle_epi8(field, shuf);
+                    (p as *mut i32).write_unaligned(_mm256_extract_epi32(b, 0));
+                    (p.add(4) as *mut i32).write_unaligned(_mm256_extract_epi32(b, 4));
+                }
+            }
             i += 8;
         }
-        quantize_i32_i16_scalar(&mut dst[i..], &src[i..], scale, lo, hi);
+        // Inside the `target_feature` body so the tail's rounding compiles to
+        // the hardware instruction rather than a libm call.
+        quantize_panel_tail(dst, src, i, scale, lo, hi, flip, slot);
     }
 
     pub fn requant_f32_avx2(dst: &mut [f32], src: &[f32], scale: f32, bias: f32, lo: i32, hi: i32) {
@@ -630,33 +948,83 @@ mod x86 {
         quantize_f32_i8_scalar(&mut dst[i..], &src[i..], scale, bias, lo, hi);
     }
 
-    pub fn quantize_i32_i16_avx512(dst: &mut [i16], src: &[i32], scale: f32, lo: i32, hi: i32) {
-        // SAFETY: dispatch verified avx512f support.
-        unsafe { quantize_i32_i16_avx512_impl(dst, src, scale, lo, hi) }
-    }
-
-    #[target_feature(enable = "avx512f")]
-    unsafe fn quantize_i32_i16_avx512_impl(
-        dst: &mut [i16],
+    pub fn quantize_panel_avx512<E: PanelCode>(
+        dst: &mut [E],
         src: &[i32],
         scale: f32,
         lo: i32,
         hi: i32,
+        flip: bool,
+        slot: PanelSlot,
     ) {
-        let n = dst.len();
-        let (d, s) = (dst.as_mut_ptr(), src.as_ptr());
+        // SAFETY: dispatch verified avx512f + avx512bw support; the public
+        // entry checked that every lane's slot lies inside `dst`.
+        unsafe { quantize_panel_avx512_impl(dst, src, scale, lo, hi, flip, slot) }
+    }
+
+    /// Sixteen lanes per step, then the scalar tail.
+    ///
+    /// # Safety
+    ///
+    /// Requires avx512f + avx512bw, and `dst` must hold the slot of every
+    /// lane of `src`.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn quantize_panel_avx512_impl<E: PanelCode>(
+        dst: &mut [E],
+        src: &[i32],
+        scale: f32,
+        lo: i32,
+        hi: i32,
+        flip: bool,
+        slot: PanelSlot,
+    ) {
+        let Some((slot_bytes, owned, shift)) = lane_field::<E>(slot, 16) else {
+            return quantize_panel_tail(dst, src, 0, scale, lo, hi, flip, slot);
+        };
+        // One store-mask bit per destination byte: the bytes this row owns
+        // in each of the 16 lane slots.
+        let every_slot: u64 = match slot_bytes {
+            4 => 0x1111_1111_1111_1111,
+            2 => 0x5555_5555,
+            _ => 0xFFFF,
+        };
+        let kmask = u64::from(owned) * every_slot;
+        let e_bits = 8 * std::mem::size_of::<E>() as u32;
+        let emask = _mm512_set1_epi32(((1u64 << e_bits) - 1) as i32);
+        let flipv = _mm512_set1_epi32(if flip { 1 << (e_bits - 1) } else { 0 });
+        let count = _mm_cvtsi32_si128(shift as i32);
         let sc = _mm512_set1_ps(scale);
         let lov = _mm512_set1_ps(lo as f32);
         let hiv = _mm512_set1_ps(hi as f32);
+        let (n, s) = (src.len(), src.as_ptr());
+        let mut cur = SlotCursor::new(slot, 0);
         let mut i = 0;
         while i + 16 <= n {
             let v = _mm512_cvtepi32_ps(_mm512_loadu_si512(s.add(i) as *const __m512i));
             let v = _mm512_min_ps(_mm512_max_ps(_mm512_div_ps(v, sc), lov), hiv);
             let q = _mm512_cvtps_epi32(v);
-            _mm256_storeu_si256(d.add(i) as *mut __m256i, _mm512_cvtepi32_epi16(q));
+            // The code's low bytes (sign-flipped on request) moved to this
+            // row's position inside the lane slot, then the lanes narrowed
+            // (truncating) to the slot width.
+            let field =
+                _mm512_sll_epi32(_mm512_xor_si512(_mm512_and_si512(q, emask), flipv), count);
+            let packed = match slot_bytes {
+                4 => field,
+                2 => _mm512_castsi256_si512(_mm512_cvtepi32_epi16(field)),
+                _ => _mm512_castsi128_si512(_mm512_cvtepi32_epi8(field)),
+            };
+            // Lanes i..i+16 share a panel (`width % 16 == 0`), so their
+            // slots are `16 · slot_bytes` contiguous bytes from here; the
+            // mask leaves every other byte — the group's other `K` steps and
+            // everything past the slots — untouched and unaccessed.
+            let p = dst.as_mut_ptr().add(cur.at()) as *mut i8;
+            cur.advance(16);
+            _mm512_mask_storeu_epi8(p, kmask, packed);
             i += 16;
         }
-        quantize_i32_i16_scalar(&mut dst[i..], &src[i..], scale, lo, hi);
+        // Inside the `target_feature` body so the tail's rounding compiles to
+        // the hardware instruction rather than a libm call.
+        quantize_panel_tail(dst, src, i, scale, lo, hi, flip, slot);
     }
 
     pub fn requant_f32_avx512(
@@ -856,8 +1224,8 @@ mod x86 {
 #[cfg(target_arch = "aarch64")]
 mod neon {
     use super::{
-        axpy_f32_scalar, axpy_i32_scalar, quantize_f32_i8_scalar, quantize_i32_i16_scalar,
-        requant_f32_scalar, scale_i32_f32_scalar,
+        axpy_f32_scalar, axpy_i32_scalar, lane_field, quantize_f32_i8_scalar, quantize_panel_tail,
+        requant_f32_scalar, scale_i32_f32_scalar, PanelCode, PanelSlot, SlotCursor,
     };
     use core::arch::aarch64::*;
 
@@ -905,33 +1273,81 @@ mod neon {
         quantize_f32_i8_scalar(&mut dst[i..], &src[i..], scale, bias, lo, hi);
     }
 
-    pub fn quantize_i32_i16_neon(dst: &mut [i16], src: &[i32], scale: f32, lo: i32, hi: i32) {
-        // SAFETY: dispatch verified NEON support.
-        unsafe { quantize_i32_i16_neon_impl(dst, src, scale, lo, hi) }
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn quantize_i32_i16_neon_impl(
-        dst: &mut [i16],
+    pub fn quantize_panel_neon<E: PanelCode>(
+        dst: &mut [E],
         src: &[i32],
         scale: f32,
         lo: i32,
         hi: i32,
+        flip: bool,
+        slot: PanelSlot,
     ) {
-        let n = dst.len();
-        let (d, s) = (dst.as_mut_ptr(), src.as_ptr());
+        // SAFETY: dispatch verified NEON support; the public entry checked
+        // that every lane's slot lies inside `dst`.
+        unsafe { quantize_panel_neon_impl(dst, src, scale, lo, hi, flip, slot) }
+    }
+
+    /// Four lanes per step, then the scalar tail.
+    ///
+    /// # Safety
+    ///
+    /// Requires NEON, and `dst` must hold the slot of every lane of `src`.
+    #[target_feature(enable = "neon")]
+    unsafe fn quantize_panel_neon_impl<E: PanelCode>(
+        dst: &mut [E],
+        src: &[i32],
+        scale: f32,
+        lo: i32,
+        hi: i32,
+        flip: bool,
+        slot: PanelSlot,
+    ) {
+        let Some((slot_bytes, owned, shift)) = lane_field::<E>(slot, 4) else {
+            return quantize_panel_tail(dst, src, 0, scale, lo, hi, flip, slot);
+        };
+        // Bit selector: all-ones on the bytes this row owns in a lane slot.
+        let sel_bits = (0..4).fold(0u32, |m, b| m | ((owned >> b) & 1) * (0xFF << (8 * b)));
+        let e_bits = 8 * std::mem::size_of::<E>() as u32;
+        let emask = vdupq_n_u32(((1u64 << e_bits) - 1) as u32);
+        let flipv = vdupq_n_u32(if flip { 1 << (e_bits - 1) } else { 0 });
+        let count = vdupq_n_s32(shift as i32);
         let sc = vdupq_n_f32(scale);
         let lov = vdupq_n_f32(lo as f32);
         let hiv = vdupq_n_f32(hi as f32);
+        let (n, s) = (src.len(), src.as_ptr());
+        let mut cur = SlotCursor::new(slot, 0);
         let mut i = 0;
         while i + 4 <= n {
             let v = vdivq_f32(vcvtq_f32_s32(vld1q_s32(s.add(i))), sc);
             let v = vminq_f32(vmaxq_f32(v, lov), hiv);
-            let q = vcvtnq_s32_f32(v);
-            vst1_s16(d.add(i), vqmovn_s32(q));
+            // vcvtnq rounds half-to-even, matching `round_ties_even`.
+            let q = vreinterpretq_u32_s32(vcvtnq_s32_f32(v));
+            // The code's low bytes (sign-flipped on request) moved to this
+            // row's position inside the lane slot.
+            let field = vshlq_u32(veorq_u32(vandq_u32(q, emask), flipv), count);
+            // Lanes i..i+4 share a panel (`width % 4 == 0`), so their slots
+            // are `4 · slot_bytes` contiguous bytes from here.
+            let p = dst.as_mut_ptr().add(cur.at()) as *mut u8;
+            cur.advance(4);
+            match slot_bytes {
+                4 => {
+                    let p = p as *mut u32;
+                    vst1q_u32(p, vbslq_u32(vdupq_n_u32(sel_bits), field, vld1q_u32(p)));
+                }
+                2 => {
+                    let p = p as *mut u16;
+                    let sel = vdup_n_u16(sel_bits as u16);
+                    vst1_u16(p, vbsl_u16(sel, vmovn_u32(field), vld1_u16(p)));
+                }
+                _ => {
+                    let h = vmovn_u32(field);
+                    let b = vreinterpret_u32_u8(vmovn_u16(vcombine_u16(h, h)));
+                    (p as *mut u32).write_unaligned(vget_lane_u32::<0>(b));
+                }
+            }
             i += 4;
         }
-        quantize_i32_i16_scalar(&mut dst[i..], &src[i..], scale, lo, hi);
+        quantize_panel_tail(dst, src, i, scale, lo, hi, flip, slot);
     }
 
     pub fn requant_f32_neon(dst: &mut [f32], src: &[f32], scale: f32, bias: f32, lo: i32, hi: i32) {

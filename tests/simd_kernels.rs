@@ -11,13 +11,18 @@
 //! get a tight accumulation-order tolerance (the SIMD register blocks and
 //! FMA change rounding, not math). The channel-laned thin-layer formulation
 //! is exercised end to end through a `GraphExecutor` run against the direct
-//! reference.
+//! reference. The packed-once weight operand (`PackedWeights`, both sides)
+//! and the panel-writing quantizer that feeds it are property-tested against
+//! the scalar pack-per-call reference for every variant.
 
+use proptest::prelude::*;
 use winograd_tapwise::wino_core::{GraphExecutor, GraphRunOptions};
 use winograd_tapwise::wino_nets::{ConvLayer, GraphBuilder};
 use winograd_tapwise::wino_tensor::{
-    gemm_f32_into_with, gemm_i16_i32_into_with, gemm_i8_i32_into_with, normal, simd,
-    simd::KernelVariant,
+    gemm_f32_into_with, gemm_i16_i32_into_with, gemm_i8_i32_into_with, gemm_packed_i32_into,
+    normal, simd,
+    simd::{KernelVariant, PanelSlot},
+    PackedCode, PackedWeights,
 };
 
 /// Shapes straddling every microkernel edge: sub-MR thin rows (m ≤ 4, the
@@ -200,5 +205,145 @@ fn batch_size_does_not_change_the_bits_of_a_thin_layer() {
             got, single.outputs[0].1,
             "image {i} changed bits under batching"
         );
+    }
+}
+
+/// A tiny deterministic mixer so operand patterns vary with the proptest
+/// seed without an RNG in the test body.
+fn mix(seed: u64, i: usize) -> u64 {
+    let mut z = seed
+        .wrapping_add(i as u64)
+        .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    z ^= z >> 30;
+    z = z.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z ^ (z >> 27)
+}
+
+/// Codes with a third of the entries pinned at `±lim` (for `i8`: −128 /
+/// +127, the values that exercise the `u8` offset and its row/column-sum
+/// correction hardest).
+fn pinned_codes(len: usize, seed: u64, lo: i32, hi: i32) -> Vec<i32> {
+    (0..len)
+        .map(|i| match mix(seed, i) % 6 {
+            0 => lo,
+            1 => hi,
+            _ => lo + (mix(seed ^ 0x51ed, i) % (hi - lo + 1) as u64) as i32,
+        })
+        .collect()
+}
+
+/// Writes the row-major `k × free` activation matrix (`act[kk · free + j]`)
+/// into the panel a packed weight operand multiplies, the way a producer
+/// must: in `act_layout`, sign-flipped iff `act_flip`, padding left as
+/// `junk` (the contract says padding may hold anything).
+fn activation_panel<T: PackedCode>(
+    w: &PackedWeights<T>,
+    act: &[T],
+    free: usize,
+    junk: T,
+) -> Vec<T> {
+    let layout = w.act_layout();
+    let mut panel = vec![junk; w.act_elems(free)];
+    for kk in 0..w.k() {
+        for j in 0..free {
+            let v = act[kk * free + j];
+            panel[layout.index(w.k(), kk, j)] = if w.act_flip() { v.flip() } else { v };
+        }
+    }
+    panel
+}
+
+/// Both packed forms of `a[m×k] · b[k×n]` under every variant against `want`.
+fn assert_packed_matches<T: PackedCode + std::fmt::Debug>(
+    a: &[T],
+    b: &[T],
+    (m, k, n): (usize, usize, usize),
+    want: &[i32],
+    junk: T,
+) -> Result<(), String> {
+    for variant in simd::available() {
+        // Weights on the left (tile-laned): activations are `b` as given.
+        let w = PackedWeights::pack_left(variant, a, m, k);
+        let panel = activation_panel(&w, b, n, junk);
+        let mut got = vec![-1_i32; m * n];
+        gemm_packed_i32_into(&mut got, &w, &panel, n);
+        prop_assert_eq!(&got[..], want);
+        // Weights on the right (channel-laned): activations are `a`, whose
+        // `K`-major form is its transpose.
+        let at: Vec<T> = (0..k * m).map(|i| a[(i % m) * k + i / m]).collect();
+        let w = PackedWeights::pack_right(variant, b, k, n);
+        let panel = activation_panel(&w, &at, m, junk);
+        let mut got = vec![-1_i32; m * n];
+        gemm_packed_i32_into(&mut got, &w, &panel, m);
+        prop_assert_eq!(&got[..], want);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The packed-once GEMM — left- and right-packed, `i8` and `i16` — is
+    /// bit-identical to the scalar pack-per-call reference on every variant:
+    /// ragged `M`/`N` against the 8×8 / 8×16 register blocks, `K` off the
+    /// pair/quad grouping, junk in the activation panel's padding, and
+    /// operands pinned at the code range's ends.
+    #[test]
+    fn packed_gemm_is_bit_identical_to_scalar_on_every_variant(
+        m in 1usize..21,
+        k in 1usize..43,
+        n in 1usize..37,
+        seed in 0u64..1000,
+    ) {
+        let a8: Vec<i8> = pinned_codes(m * k, seed, -128, 127).iter().map(|&v| v as i8).collect();
+        let b8: Vec<i8> =
+            pinned_codes(k * n, seed ^ 0xb0b, -128, 127).iter().map(|&v| v as i8).collect();
+        let mut want = vec![0_i32; m * n];
+        gemm_i8_i32_into_with(KernelVariant::Scalar, &mut want, &a8, &b8, m, k, n);
+        assert_packed_matches(&a8, &b8, (m, k, n), &want, 0x5a)?;
+
+        // 10-bit Winograd-domain codes, the `i16` path's range.
+        let a16: Vec<i16> = pinned_codes(m * k, seed, -512, 511).iter().map(|&v| v as i16).collect();
+        let b16: Vec<i16> =
+            pinned_codes(k * n, seed ^ 0xb0b, -512, 511).iter().map(|&v| v as i16).collect();
+        gemm_i16_i32_into_with(KernelVariant::Scalar, &mut want, &a16, &b16, m, k, n);
+        assert_packed_matches(&a16, &b16, (m, k, n), &want, 0x5a5a)?;
+    }
+
+    /// The panel-writing quantizers put exactly the scalar codes at exactly
+    /// the slot's offsets on every variant — for every `K`-group width and
+    /// position, panel width, sign flip and row length — and leave the rest
+    /// of the panel (the group's other `K` steps, the padding) untouched.
+    #[test]
+    fn panel_quantizers_match_scalar_and_touch_only_their_slot(
+        lanes in 0usize..70,
+        width_sel in 0usize..2,
+        group_sel in 0usize..3,
+        g_seed in 0usize..4,
+        flip_sel in 0usize..2,
+        seed in 0u64..1000,
+    ) {
+        let (width, group, flip) = ([8, 16][width_sel], [1, 2, 4][group_sel], flip_sel == 1);
+        let slot = PanelSlot { width, group, chunk_stride: 5 * width * group, g: g_seed % group };
+        let src: Vec<i32> = (0..lanes).map(|i| (mix(seed, i) % 40_001) as i32 - 20_000).collect();
+        let len = lanes.div_ceil(width) * slot.chunk_stride + 3;
+        for variant in simd::available() {
+            let mut got8 = vec![0x33_i8; len];
+            simd::quantize_i32_i8_panel_with(variant, &mut got8, &src, 37.5, -128, 127, flip, slot);
+            let mut got16 = vec![0x3333_i16; len];
+            simd::quantize_i32_i16_panel_with(variant, &mut got16, &src, 9.25, -512, 511, flip, slot);
+            let mut want8 = vec![0x33_i8; len];
+            let mut want16 = vec![0x3333_i16; len];
+            for (j, &s) in src.iter().enumerate() {
+                let q = |scale: f32, lo: f32, hi: f32| {
+                    (s as f32 / scale).round_ties_even().max(lo).min(hi) as i32
+                };
+                let (c8, c16) = (q(37.5, -128.0, 127.0) as i8, q(9.25, -512.0, 511.0) as i16);
+                want8[slot.offset(j)] = if flip { c8.flip() } else { c8 };
+                want16[slot.offset(j)] = if flip { c16.flip() } else { c16 };
+            }
+            prop_assert_eq!(&got8, &want8);
+            prop_assert_eq!(&got16, &want16);
+        }
     }
 }

@@ -2,7 +2,9 @@
 //!
 //! Three contracts are pinned: the float tap-major path computes the same
 //! function as the direct convolution on randomized shapes; the integer
-//! tap-major path is **bit-identical** to the per-tile reference it replaced;
+//! tap-major path is **bit-identical** to the per-tile reference it replaced
+//! (on randomized shapes and on the ResNet-34 layer geometries, 8- and
+//! 10-bit, tile- and channel-laned);
 //! and fused conv+ReLU execution through the graph executor is bitwise equal
 //! to running the ReLU as its own node.
 
@@ -68,6 +70,56 @@ fn int_tap_major_is_bit_identical_to_per_tile_on_random_shapes() {
                 "{tile}/int{bits} on [{n},{c_in},{c_out},{h},{w}]: codes drifted"
             );
         }
+    }
+}
+
+/// `forward` against `forward_per_tile` on one layer geometry: random
+/// weights, calibrated tap-wise scales, the given batch sizes.
+fn assert_int_forward_matches_per_tile(c: usize, hw: usize, bits: u8, batches: &[usize]) {
+    let wt = normal(&[c, c, 3, 3], 0.0, 0.2, 9100 + c as u64);
+    let cfg = WinogradQuantConfig::tapwise_po2(TileSize::F4, bits);
+    let mats = WinogradMatrices::for_tile(TileSize::F4);
+    let calib = normal(&[1, c, hw, hw], 0.0, 1.0, 9200 + c as u64);
+    let scales = TapwiseScales::calibrate(&wt, &calib, &mats, cfg.wino_bits, cfg.mode);
+    let xp = QuantParams::from_max(calib.abs_max(), cfg.spatial_bits).to_power_of_two();
+    let conv = IntWinogradConv::prepare(&wt, &scales, xp, 8.0, cfg);
+    for &n in batches {
+        let x = normal(&[n, c, hw, hw], 0.0, 1.0, 9300 + (c + n) as u64);
+        let xq: Tensor<i8> = x.map(|v| xp.quantize(v) as i8);
+        assert_eq!(
+            conv.forward(&xq),
+            conv.forward_per_tile(&xq),
+            "int{bits} {c}x{c}x{hw} batch {n}: tap-major codes drifted"
+        );
+    }
+}
+
+/// ResNet-34's four 3×3 layer geometries as `(channels, height = width,
+/// batch sizes)`.
+const RESNET34_GEOMETRIES: [(usize, usize, &[usize]); 4] = [
+    (64, 56, &[1]),
+    (128, 28, &[1]),
+    (256, 14, &[1]),
+    (512, 7, &[1, 2]),
+];
+
+/// The four ResNet-34 3×3 geometries at 8 Winograd-domain bits — the `i8`
+/// codes and weights packed at prepare — bit-identical to the per-tile
+/// reference. 64×56 splits into two strip groups with a ragged last column
+/// panel; 7×7 runs channel-laned at batch 1 (4 tiles) and flips to
+/// tile-laned at batch 2 (8 tiles) on the same prepared layer.
+#[test]
+fn int8_forward_is_bit_identical_to_per_tile_on_resnet34_geometries() {
+    for (c, hw, batches) in RESNET34_GEOMETRIES {
+        assert_int_forward_matches_per_tile(c, hw, 8, batches);
+    }
+}
+
+/// The same geometries at 10 bits: the `i16` code path, packed once too.
+#[test]
+fn int10_forward_is_bit_identical_to_per_tile_on_resnet34_geometries() {
+    for (c, hw, batches) in RESNET34_GEOMETRIES {
+        assert_int_forward_matches_per_tile(c, hw, 10, batches);
     }
 }
 
