@@ -1,15 +1,19 @@
 //! Criterion micro-benchmarks of the convolution kernels: direct, im2col+GEMM
 //! and Winograd F2/F4/F6 (FP32), plus the integer tap-wise F4 pipeline, the
-//! `ConvBackend` engine dispatch, and the thread-scaling of the parallel
-//! Winograd F4 path on a real ResNet-34 layer shape.
+//! `ConvBackend` engine dispatch, the thread-scaling of the parallel
+//! Winograd F4 path on a real ResNet-34 layer shape, and the GEMM convolution
+//! on every fallback layer shape of ResNet-50.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use wino_core::{
     winograd_conv2d, Engine, IntWinogradConv, Planner, PreparedWinogradConv, QuantBits,
     QuantParams, TapwiseScales, TileSize, WinogradMatrices, WinogradQuantConfig,
 };
-use wino_nets::{ConvLayer, Kernel};
-use wino_tensor::{conv2d_direct, conv2d_im2col, normal, parallel, relu_inplace, ConvParams};
+use wino_nets::{resnet50_graph, ConvLayer, GraphOp, Kernel};
+use wino_tensor::{
+    conv2d_direct, conv2d_im2col, normal, parallel, relu_inplace, ConvParams, EpilogueOps,
+    PreparedGemmConv,
+};
 
 fn bench_conv_kernels(c: &mut Criterion) {
     let x = normal(&[1, 16, 32, 32], 0.0, 1.0, 1);
@@ -142,10 +146,54 @@ fn bench_tap_major(c: &mut Criterion) {
     fused.finish();
 }
 
+/// The GEMM convolution on every distinct layer shape of ResNet-50 at 160×160
+/// that no Winograd kernel takes (1×1, stride-2 3×3, the 7×7 stem) — the
+/// shapes behind `core.graph_exec.im2col_ms` on the `resnet50_int` benchmark
+/// workload. `prepared` is what a graph node pays per run; `conv2d_im2col`
+/// adds the per-call weight pack (and, before the prepared path existed, was
+/// the whole lowered-matrix formulation — run this group on both commits for
+/// a before/after table).
+fn bench_fallback_resnet50(c: &mut Criterion) {
+    let graph = resnet50_graph(160);
+    let mut shapes: Vec<&ConvLayer> = Vec::new();
+    for node in graph.nodes() {
+        if let GraphOp::Conv(l) = &node.op {
+            let seen = |s: &&ConvLayer| {
+                (s.c_in, s.c_out, s.h_out, s.kernel, s.stride)
+                    == (l.c_in, l.c_out, l.h_out, l.kernel, l.stride)
+            };
+            if !l.params().is_winograd_eligible() && !shapes.iter().any(seen) {
+                shapes.push(l);
+            }
+        }
+    }
+    let mut group = c.benchmark_group("fallback_resnet50");
+    group.sample_size(10);
+    for l in shapes {
+        let (h_in, w_in) = l.input_hw();
+        let x = normal(&[1, l.c_in, h_in, w_in], 0.0, 1.0, 31);
+        let w = normal(&[l.c_out, l.c_in, l.kernel, l.kernel], 0.0, 0.1, 32);
+        let p = l.params();
+        let shape = format!(
+            "{}x{}k{}s{}@{}",
+            l.c_in, l.c_out, l.kernel, l.stride, l.h_out
+        );
+        let prepared = PreparedGemmConv::prepare(&w, p);
+        group.bench_function(BenchmarkId::new("prepared", &shape), |b| {
+            b.iter(|| prepared.forward(&x, &EpilogueOps::none()))
+        });
+        group.bench_function(BenchmarkId::new("conv2d_im2col", &shape), |b| {
+            b.iter(|| conv2d_im2col(&x, &w, None, p))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_conv_kernels,
     bench_engine_dispatch,
-    bench_tap_major
+    bench_tap_major,
+    bench_fallback_resnet50
 );
 criterion_main!(benches);

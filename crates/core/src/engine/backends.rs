@@ -14,7 +14,7 @@ use crate::quant::QuantParams;
 use crate::tapwise::TapwiseScales;
 use crate::winograd::PreparedWinogradConv;
 use wino_nets::Kernel;
-use wino_tensor::{conv2d_direct, conv2d_im2col, ConvParams, Tensor};
+use wino_tensor::{conv2d_direct, conv2d_im2col, ConvParams, PreparedGemmConv, Tensor};
 
 /// The naive direct convolution — the ground truth every other backend is
 /// validated against. Never chosen by the planner.
@@ -45,8 +45,9 @@ impl ConvBackend for DirectBackend {
     }
 }
 
-/// im2col lowering + blocked GEMM — the accelerator's baseline kernel and the
-/// engine's universal fallback.
+/// The GEMM convolution ([`PreparedGemmConv`]) — the accelerator's im2col +
+/// Cube Unit baseline kernel and the engine's universal fallback. Packs the
+/// weights on every call; the graph executor keeps them prepared instead.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Im2colGemmBackend;
 
@@ -71,6 +72,17 @@ impl ConvBackend for Im2colGemmBackend {
         params: ConvParams,
     ) -> Tensor<f32> {
         conv2d_im2col(x, w, bias, params)
+    }
+
+    fn conv2d_epilogue(
+        &self,
+        x: &Tensor<f32>,
+        w: &Tensor<f32>,
+        params: ConvParams,
+        ops: &EpilogueOps,
+    ) -> Tensor<f32> {
+        // The whole tail runs on each finished block of output rows.
+        PreparedGemmConv::prepare(w, params).forward(x, ops)
     }
 }
 

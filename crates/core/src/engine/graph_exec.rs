@@ -9,8 +9,10 @@
 //! Three concerns are layered on top of plain node-by-node evaluation:
 //!
 //! * **Planning + prepared state** ([`GraphExecutor::prepare`]): each conv
-//!   node gets a kernel from the [`Planner`], its synthesized weights, and —
-//!   for float Winograd nodes — its weight transformation, all computed once.
+//!   node gets a kernel from the [`Planner`], its synthesized weights, and its
+//!   one-time weight work — the Winograd weight transformation for float
+//!   Winograd nodes, the packed GEMM operand ([`PreparedGemmConv`]) for every
+//!   node no Winograd kernel takes.
 //!   On the quantized path the per-node [`IntWinogradConv`] is calibrated
 //!   lazily from the first run's live activations and cached, so run 2+ pays
 //!   neither calibration nor `prepare`; serving-style multi-batch loops reuse
@@ -27,7 +29,6 @@ use crate::engine::backends::estimate_output_max;
 use crate::engine::executor::SynthCache;
 use crate::engine::planner::{Activation, EpiloguePlan, FusionClasses, LayerPlan, Planner};
 use crate::engine::running::{CalibrationPolicy, RunningCalibration};
-use crate::engine::Engine;
 use crate::epilogue::{apply_epilogue, EpilogueOps};
 use crate::int_winograd::{IntWinogradConv, WinogradQuantConfig};
 use crate::matrices::{TileSize, WinogradMatrices};
@@ -39,7 +40,7 @@ use std::time::Instant;
 use wino_nets::{Graph, GraphOp, Kernel, NodeShape};
 use wino_tensor::{
     concat_channels_into, conv2d_direct, global_avg_pool, max_pool2d, relu_inplace,
-    upsample_nearest_into, Tensor,
+    upsample_nearest_into, PreparedGemmConv, Tensor,
 };
 use wino_trace::{PhaseProbe, PhaseProfile};
 
@@ -68,8 +69,9 @@ enum ConvState {
     /// Integer tap-wise Winograd; calibrated and prepared on the first run,
     /// then reused (`None` until then).
     IntWinograd(Mutex<Option<IntPrepared>>),
-    /// Any other geometry: dispatched through the engine per run.
-    Engine,
+    /// Any other geometry (1×1, strided, 7×7): the GEMM convolution with the
+    /// weights packed at plan time.
+    Gemm(PreparedGemmConv),
 }
 
 /// The cached integer pipeline of one node: the prepared layer plus the
@@ -544,7 +546,6 @@ impl ActivationArena {
 /// Runs whole graphs through planned backends with chained activations.
 #[derive(Debug)]
 pub struct GraphExecutor {
-    engine: Engine,
     planner: Planner,
     quant: Option<WinogradQuantConfig>,
     reference: bool,
@@ -559,7 +560,6 @@ impl GraphExecutor {
     /// The default FP32 executor (direct / im2col / Winograd F2 / F4).
     pub fn with_defaults() -> Self {
         Self {
-            engine: Engine::with_default_backends(),
             planner: Planner::default(),
             quant: None,
             reference: false,
@@ -577,7 +577,6 @@ impl GraphExecutor {
             "integer pipeline supports F2 and F4 only (F6 has non-integer B/A matrices)"
         );
         Self {
-            engine: Engine::quantized(cfg),
             planner: Planner::default(),
             quant: Some(cfg),
             reference: false,
@@ -590,7 +589,6 @@ impl GraphExecutor {
     /// A ground-truth executor: every conv node runs the direct algorithm.
     pub fn reference() -> Self {
         Self {
-            engine: Engine::with_default_backends(),
             planner: Planner::default(),
             quant: None,
             reference: true,
@@ -629,11 +627,6 @@ impl GraphExecutor {
         self.fusion = FusionClasses::none();
         self.per_tile = true;
         self
-    }
-
-    /// The engine backing this executor.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
     }
 
     /// The planner backing this executor.
@@ -714,7 +707,7 @@ impl GraphExecutor {
                         prep.set_probe(Arc::clone(&probe));
                         ConvState::FloatWinograd(prep)
                     } else {
-                        ConvState::Engine
+                        ConvState::Gemm(PreparedGemmConv::prepare(&weights, plan.params))
                     };
                     let mut epilogue = fusion.plans[id].clone();
                     // The integer pipeline requantizes its output inside the
@@ -1329,15 +1322,9 @@ impl GraphExecutor {
                 };
                 (y, "int-winograd-tapwise")
             }
-            ConvState::Engine => {
+            ConvState::Gemm(prep) => {
                 debug_assert!(owned_residual.is_none());
-                let backend = self
-                    .engine
-                    .backend_for(pc.plan.kernel, params)
-                    .or_else(|| self.engine.backend_for(Kernel::Im2col, params))
-                    .expect("engine has no backend for this node");
-                let y = backend.conv2d_epilogue(x, &pc.weights, params, &ops);
-                (y, backend.name())
+                (prep.forward(x, &ops), "im2col-gemm")
             }
         }
     }

@@ -85,9 +85,10 @@ pub trait ConvBackend: Send + Sync {
     ///
     /// The default implementation runs [`ConvBackend::conv2d`] (handing it
     /// the bias) and then applies the remaining tail as separate passes via
-    /// [`crate::epilogue::apply_epilogue`]; backends with an in-register
-    /// epilogue stage (the Winograd paths) override this to fuse the whole
-    /// tail into their output transformation. Both routes compute the same
+    /// [`crate::epilogue::apply_epilogue`]; backends with a fused epilogue
+    /// stage override this — the Winograd paths fuse the whole tail into
+    /// their output transformation, the GEMM convolution applies it to each
+    /// finished block of output rows. Both routes compute the same
     /// elementwise expression in the same order, so an override must stay —
     /// and the built-in ones are — bitwise identical to the default.
     ///

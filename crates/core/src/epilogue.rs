@@ -1,193 +1,21 @@
 //! Run-time operands of a fused convolution epilogue.
 //!
-//! The paper's accelerator never materializes pre-activation outputs: bias,
-//! requantization, residual sums and the activation are applied in the
-//! output-transform datapath as the 4×4 tiles leave the GEMM array
-//! (Section IV-A). [`EpilogueOps`] is the software form of that datapath
-//! stage: the set of elementwise operations a convolution kernel applies to
-//! each output value *before* the single store. Every backend accepts one
-//! (see [`crate::engine::ConvBackend::conv2d_epilogue`]); kernels that can
-//! fuse it in-register do so ([`crate::winograd`], [`crate::int_winograd`]),
-//! and everything else falls back to [`apply_epilogue`] — the separate-pass
-//! reference the fused paths are bitwise-pinned against.
+//! [`EpilogueOps`] and its separate-pass reference [`apply_epilogue`] live in
+//! `wino_tensor::epilogue` (the prepared GEMM convolution fuses them too) and
+//! are re-exported here. Every backend accepts one (see
+//! [`crate::engine::ConvBackend::conv2d_epilogue`]); the Winograd kernels
+//! ([`crate::winograd`], [`crate::int_winograd`]) fuse it in-register into
+//! their output transformation.
 //!
-//! The element-wise contract, applied in this order:
-//!
-//! 1. `v += bias[c]` (per output channel),
-//! 2. `v = max(v, 0)` if `pre_add_relu` (Darknet-style `add(x, relu(conv))`
-//!    tails, where the activation precedes the residual sum),
-//! 3. `v += residual[i]` (same-shaped tensor, the skip connection),
-//! 4. `v = max(v, 0)` if `relu` (ResNet-style `relu(add(conv, x))` tails, or
-//!    a plain `conv → relu` pair when no residual is fused).
-//!
-//! On the integer path the output requantization sits between steps 1 and 2:
-//! the bias rides the requantization (`quantize(v + bias[c])`, the
-//! accelerator's epilogue datapath), codes are clamped for the pre-add ReLU,
-//! then dequantized into the output scale before the residual is added in
-//! FP32. For bias-free tails this is exactly what separate-node execution
-//! computes, so fused and separate runs stay bitwise identical; a biased
-//! tail matches float-domain separate execution within the output
-//! quantization step (the bias lands before the round instead of after the
-//! dequantize), pinned by the executor's error-bound tests.
+//! On the integer path the output requantization sits between steps 1 and 2
+//! of the element-wise contract: the bias rides the requantization
+//! (`quantize(v + bias[c])`, the accelerator's epilogue datapath), codes are
+//! clamped for the pre-add ReLU, then dequantized into the output scale
+//! before the residual is added in FP32. For bias-free tails this is exactly
+//! what separate-node execution computes, so fused and separate runs stay
+//! bitwise identical; a biased tail matches float-domain separate execution
+//! within the output quantization step (the bias lands before the round
+//! instead of after the dequantize), pinned by the executor's error-bound
+//! tests.
 
-use wino_tensor::Tensor;
-
-/// The elementwise tail fused into one convolution's output epilogue.
-///
-/// All operands borrow from the caller: the residual is a live activation
-/// the graph executor resolves from its arena, the bias a prepared weight.
-/// [`EpilogueOps::none`] is the identity (a bare convolution).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EpilogueOps<'a> {
-    /// Per-output-channel bias, added first.
-    pub bias: Option<&'a Tensor<f32>>,
-    /// Same-shaped residual operand added after (pre-)activation.
-    pub residual: Option<&'a Tensor<f32>>,
-    /// ReLU applied before the residual sum (`add(x, relu(conv))` tails).
-    pub pre_add_relu: bool,
-    /// ReLU applied after the residual sum (or directly after bias when no
-    /// residual is fused).
-    pub relu: bool,
-}
-
-impl<'a> EpilogueOps<'a> {
-    /// The identity epilogue: no bias, no residual, no activation.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// Bias and a trailing ReLU only — the PR 4 `conv → relu` fusion shape.
-    pub fn bias_relu(bias: Option<&'a Tensor<f32>>, relu: bool) -> Self {
-        Self {
-            bias,
-            residual: None,
-            pre_add_relu: false,
-            relu,
-        }
-    }
-
-    /// Whether this epilogue does anything at all.
-    pub fn is_identity(&self) -> bool {
-        self.bias.is_none() && self.residual.is_none() && !self.pre_add_relu && !self.relu
-    }
-
-    /// The same epilogue without the bias (for backends whose convolution
-    /// already applied it internally).
-    pub fn without_bias(&self) -> EpilogueOps<'a> {
-        EpilogueOps {
-            bias: None,
-            ..*self
-        }
-    }
-}
-
-/// Broadcasts a per-output-channel bias over an NCHW feature map.
-///
-/// # Panics
-///
-/// Panics if the bias length differs from the channel count.
-pub fn add_bias(y: &mut Tensor<f32>, bias: &Tensor<f32>) {
-    let (n, c_out) = (y.dims()[0], y.dims()[1]);
-    let hw = y.dims()[2] * y.dims()[3];
-    assert_eq!(bias.len(), c_out, "add_bias: bias length mismatch");
-    let y_s = y.as_mut_slice();
-    for ni in 0..n {
-        for co in 0..c_out {
-            let bv = bias.as_slice()[co];
-            let base = (ni * c_out + co) * hw;
-            for v in &mut y_s[base..base + hw] {
-                *v += bv;
-            }
-        }
-    }
-}
-
-/// Applies the full epilogue as separate elementwise passes over `y` — the
-/// reference implementation every fused kernel is equivalence-tested against,
-/// and the fallback for backends without an in-register epilogue.
-///
-/// # Panics
-///
-/// Panics if the residual shape or bias length disagrees with `y`.
-pub fn apply_epilogue(y: &mut Tensor<f32>, ops: &EpilogueOps) {
-    if let Some(b) = ops.bias {
-        add_bias(y, b);
-    }
-    if ops.pre_add_relu {
-        for v in y.as_mut_slice() {
-            *v = v.max(0.0);
-        }
-    }
-    if let Some(r) = ops.residual {
-        assert_eq!(
-            y.dims(),
-            r.dims(),
-            "apply_epilogue: residual shape mismatch"
-        );
-        for (d, &s) in y.as_mut_slice().iter_mut().zip(r.as_slice()) {
-            *d += s;
-        }
-    }
-    if ops.relu {
-        for v in y.as_mut_slice() {
-            *v = v.max(0.0);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use wino_tensor::normal;
-
-    #[test]
-    fn identity_epilogue_is_a_no_op() {
-        let mut y = normal(&[1, 2, 3, 3], 0.0, 1.0, 1);
-        let orig = y.clone();
-        apply_epilogue(&mut y, &EpilogueOps::none());
-        assert_eq!(y, orig);
-        assert!(EpilogueOps::none().is_identity());
-    }
-
-    #[test]
-    fn full_epilogue_applies_in_documented_order() {
-        // bias → pre-add ReLU → residual → ReLU on a hand-checked value.
-        let mut y = Tensor::from_vec(vec![-2.0_f32], &[1, 1, 1, 1]).unwrap();
-        let bias = Tensor::from_vec(vec![1.0_f32], &[1]).unwrap();
-        let res = Tensor::from_vec(vec![-0.5_f32], &[1, 1, 1, 1]).unwrap();
-        let ops = EpilogueOps {
-            bias: Some(&bias),
-            residual: Some(&res),
-            pre_add_relu: true,
-            relu: true,
-        };
-        apply_epilogue(&mut y, &ops);
-        // (-2 + 1) = -1 → max(0) = 0 → + (-0.5) = -0.5 → max(0) = 0.
-        assert_eq!(y.as_slice(), &[0.0]);
-    }
-
-    #[test]
-    fn residual_without_relu_keeps_negatives() {
-        let mut y = Tensor::from_vec(vec![1.0_f32, -1.0], &[1, 1, 1, 2]).unwrap();
-        let res = Tensor::from_vec(vec![-3.0_f32, 0.5], &[1, 1, 1, 2]).unwrap();
-        let ops = EpilogueOps {
-            residual: Some(&res),
-            ..EpilogueOps::none()
-        };
-        apply_epilogue(&mut y, &ops);
-        assert_eq!(y.as_slice(), &[-2.0, -0.5]);
-    }
-
-    #[test]
-    fn without_bias_drops_only_the_bias() {
-        let bias = Tensor::from_vec(vec![1.0_f32], &[1]).unwrap();
-        let ops = EpilogueOps {
-            bias: Some(&bias),
-            relu: true,
-            ..EpilogueOps::none()
-        };
-        let tail = ops.without_bias();
-        assert!(tail.bias.is_none());
-        assert!(tail.relu);
-    }
-}
+pub use wino_tensor::epilogue::{add_bias, apply_epilogue, EpilogueOps};

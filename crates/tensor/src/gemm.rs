@@ -32,7 +32,15 @@
 //!   row-major operands and are pack-then-compute over the same driver: the
 //!   integer ones pack both operands into thread-parked panels and sweep
 //!   once; `f32` additionally blocks `K` by [`BLOCK_K`] so the packed `B`
-//!   block of a large im2col product stays bounded.
+//!   block stays bounded. The `Tensor` wrappers ([`gemm_f32`],
+//!   [`gemm_i8_i32`]) hand each worker thread **one** row chunk, so `B` is
+//!   packed once per `K` block per thread.
+//! * **Prepared `f32` convolution** — [`crate::im2col::PreparedGemmConv`]
+//!   packs a layer's weights once as the left operand in exactly the
+//!   per-[`BLOCK_K`] row-panel layout the pack-per-call `f32` product builds
+//!   on its stack, gathers the activations straight into the thread-parked
+//!   `B` panel and calls [`sweep_f32`] on column blocks of the NCHW output
+//!   (`C` is a strided view: `ldc` is the image's pixel count).
 //!
 //! # Direct-to-`C` contract
 //!
@@ -86,20 +94,17 @@
 //!
 //! There is deliberately no zero-skip branch in the inner loops — Winograd
 //! and im2col operands are dense, and a data-dependent branch per multiply
-//! defeats vectorization. The `Tensor` wrappers add [`BLOCK_M`]-row
-//! parallelism on top ([`crate::parallel::parallel_chunks_mut`]); the
-//! slice kernels themselves are sequential so callers already inside a
-//! parallel region (the Winograd strip workers) can use them without nesting
-//! thread pools.
+//! defeats vectorization. The `Tensor` wrappers add row-chunk parallelism on
+//! top ([`crate::parallel::parallel_chunks_mut`]); the slice kernels
+//! themselves are sequential so callers already inside a parallel region
+//! (the Winograd strip workers) can use them without nesting thread pools.
 
-use crate::parallel::parallel_chunks_mut;
+use crate::parallel::{max_threads, parallel_chunks_mut};
 use crate::simd::{self, KernelVariant, PanelSlot};
 use crate::tensor::Tensor;
 
-/// Rows of `C` per parallel block — one block of `A` (MC × KC) stays in L1.
-const BLOCK_M: usize = 32;
-/// Depth of the `K` blocking of the pack-per-call `f32` product.
-const BLOCK_K: usize = 256;
+/// Depth of the `K` blocking of every `f32` product.
+pub(crate) const BLOCK_K: usize = 256;
 /// Rows per packed `A` panel / standard microkernel tile.
 const MR: usize = 8;
 /// Columns per standard scalar/AVX2/NEON microkernel tile.
@@ -309,17 +314,21 @@ fn pack_b_panels<T: Copy + Default>(
 /// operand type, accumulator type, the microkernel's `MRP × NRP` register
 /// block and its `K`-group width `G`.
 ///
-/// `a_panels` holds `⌈m / MRP⌉` row panels and `b_panels` `⌈n / NRP⌉` column
-/// panels, each `kcg` groups deep (see the pack functions for the element
-/// order). `micro` is called once per `(row panel, column panel)` pair with
-/// `(tile, a_panel, b_panel, kcg)` — the last argument counts **groups**, not
-/// `k` steps — and must store the full product tile at `tile` (see the
-/// module docs: interior tiles go straight to `C` unless `accumulate`, which
-/// adds the product onto what `C` already holds).
+/// `C` is a strided view: row `i` starts at `c[i · ldc]` and is `n ≤ ldc`
+/// long (a dense product passes `ldc = n`; the prepared convolution passes a
+/// column block of a wider output). `a_panels` holds `⌈m / MRP⌉` row panels
+/// and `b_panels` `⌈n / NRP⌉` column panels, each `kcg` groups deep (see the
+/// pack functions for the element order). `micro` is called once per `(row
+/// panel, column panel)` pair with `(tile, a_panel, b_panel, kcg)` — the
+/// last argument counts **groups**, not `k` steps — and must store the full
+/// product tile at `tile` (see the module docs: interior tiles go straight
+/// to `C` unless `accumulate`, which adds the product onto what `C` already
+/// holds).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn sweep_panels<T, A, const MRP: usize, const NRP: usize, const G: usize>(
     c: &mut [A],
+    ldc: usize,
     m: usize,
     n: usize,
     kcg: usize,
@@ -331,7 +340,11 @@ fn sweep_panels<T, A, const MRP: usize, const NRP: usize, const G: usize>(
     A: Copy + Default + std::ops::AddAssign,
 {
     let (a_stride, b_stride) = (kcg * MRP * G, kcg * NRP * G);
-    assert_eq!(c.len(), m * n, "sweep_panels: C length");
+    assert!(n <= ldc, "sweep_panels: row stride");
+    assert!(
+        m == 0 || c.len() >= (m - 1) * ldc + n,
+        "sweep_panels: C length"
+    );
     // Panels are sliced by index (bounds-checked: a microkernel reads exactly
     // one stride of each) rather than chunked — chunking divides by the
     // runtime stride, which a tiny product would notice.
@@ -342,11 +355,12 @@ fn sweep_panels<T, A, const MRP: usize, const NRP: usize, const G: usize>(
             let b_panel = &b_panels[j0 / NRP * b_stride..(j0 / NRP + 1) * b_stride];
             let cols = NRP.min(n - j0);
             if rows == MRP && cols == NRP && !accumulate {
-                // The tile's last element is `(i0 + MRP − 1) · n + j0 + NRP −
-                // 1 < m · n = c.len()` because `i0 + MRP ≤ m`, `j0 + NRP ≤ n`.
+                // The tile's last element is `(i0 + MRP − 1) · ldc + j0 + NRP
+                // − 1 ≤ (m − 1) · ldc + n − 1 < c.len()` because `i0 + MRP ≤
+                // m` and `j0 + NRP ≤ n`.
                 let tile = Tile {
-                    c: c[i0 * n + j0..].as_mut_ptr(),
-                    ldc: n,
+                    c: c[i0 * ldc + j0..].as_mut_ptr(),
+                    ldc,
                     i0,
                     j0,
                 };
@@ -361,7 +375,7 @@ fn sweep_panels<T, A, const MRP: usize, const NRP: usize, const G: usize>(
                 };
                 micro(tile, a_panel, b_panel, kcg);
                 for (r, erow) in edge.iter().enumerate().take(rows) {
-                    let crow = &mut c[(i0 + r) * n + j0..(i0 + r) * n + j0 + cols];
+                    let crow = &mut c[(i0 + r) * ldc + j0..(i0 + r) * ldc + j0 + cols];
                     if accumulate {
                         for (cv, ev) in crow.iter_mut().zip(erow) {
                             *cv += *ev;
@@ -376,47 +390,89 @@ fn sweep_panels<T, A, const MRP: usize, const NRP: usize, const G: usize>(
 }
 
 /// The pack-per-call `f32` product: `K` is blocked by [`BLOCK_K`], each
-/// block's `B` rows are packed into the thread-parked `bpack_store`, each row
-/// panel of `A` into a stack panel, and [`sweep_panels`] multiplies them —
-/// storing the first block, adding the later ones.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn pack_and_sweep_f32<const MRP: usize, const NRP: usize>(
+/// block's `B` rows are packed into the thread-parked panel, each row panel
+/// of `A` into a stack panel, and [`sweep_f32`] multiplies them — storing
+/// the first block, adding the later ones.
+fn pack_and_sweep_f32(
+    variant: KernelVariant,
     c: &mut [f32],
     a: &[f32],
     b: &[f32],
     m: usize,
     k: usize,
     n: usize,
-    bpack_store: &mut Vec<f32>,
-    mut micro: impl FnMut(Tile<f32>, &[f32], &[f32], usize),
 ) {
-    let bpack_len = BLOCK_K.min(k) * n.div_ceil(NRP) * NRP;
-    if bpack_store.len() < bpack_len {
-        bpack_store.resize(bpack_len, 0.0);
-    }
+    let thin = m <= MR_THIN;
+    let (mrp, nrp) = f32_block(variant, thin);
     // Sized for the widest (MR-row) family; thin kernels use a prefix.
     let mut apack = [0.0_f32; MR * BLOCK_K];
-    for k0 in (0..k).step_by(BLOCK_K) {
-        let kc = (k0 + BLOCK_K).min(k) - k0;
-        let bpack = &mut bpack_store[..kc * n.div_ceil(NRP) * NRP];
-        pack_b_panels(bpack, b, n, k0, kc, NRP, 1);
-        for i0 in (0..m).step_by(MRP) {
-            let rows = MRP.min(m - i0);
-            let a_panel = &mut apack[..kc * MRP];
-            pack_a_panel::<_, MRP>(a_panel, a, k, i0, rows, k0, kc, 1);
-            sweep_panels::<_, _, MRP, NRP, 1>(
-                &mut c[i0 * n..(i0 + rows) * n],
-                rows,
-                n,
-                kc,
-                a_panel,
-                bpack,
-                k0 > 0,
-                &mut micro,
-            );
+    with_f32_b_panel(BLOCK_K.min(k) * n.next_multiple_of(nrp), |bpack_store| {
+        for k0 in (0..k).step_by(BLOCK_K) {
+            let kc = (k0 + BLOCK_K).min(k) - k0;
+            let bpack = &mut bpack_store[..kc * n.next_multiple_of(nrp)];
+            pack_b_panels(bpack, b, n, k0, kc, nrp, 1);
+            for i0 in (0..m).step_by(mrp) {
+                let rows = mrp.min(m - i0);
+                let a_panel = &mut apack[..kc * mrp];
+                pack_a_panel_f32(thin, a_panel, a, k, i0, rows, k0, kc);
+                let c_rows = &mut c[i0 * n..(i0 + rows) * n];
+                sweep_f32(
+                    variant,
+                    thin,
+                    c_rows,
+                    n,
+                    rows,
+                    n,
+                    kc,
+                    a_panel,
+                    bpack,
+                    k0 > 0,
+                );
+            }
         }
+    });
+}
+
+/// [`pack_a_panel`] for one row panel of an `f32` left operand, in the row
+/// count of the thin or the standard kernel family (see [`f32_block`]).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn pack_a_panel_f32(
+    thin: bool,
+    dst: &mut [f32],
+    a: &[f32],
+    lda: usize,
+    i0: usize,
+    rows: usize,
+    k0: usize,
+    kc: usize,
+) {
+    if thin {
+        pack_a_panel::<_, MR_THIN>(dst, a, lda, i0, rows, k0, kc, 1);
+    } else {
+        pack_a_panel::<_, MR>(dst, a, lda, i0, rows, k0, kc, 1);
     }
+}
+
+/// Runs `f` on the first `len` elements of this thread's parked `f32` `B`
+/// panel, growing it on first use — repeated products (one per Winograd tap,
+/// one per convolution column block) stay allocation-free. The contents are
+/// whatever the previous user left.
+///
+/// # Panics
+///
+/// Panics if `f` re-enters (the panel is borrowed for the whole call).
+pub(crate) fn with_f32_b_panel<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+    thread_local! {
+        static B_PANEL: std::cell::RefCell<Vec<f32>> =
+            const { std::cell::RefCell::new(Vec::new()) };
+    }
+    B_PANEL.with(|cell| {
+        let store = &mut *cell.borrow_mut();
+        if store.len() < len {
+            store.resize(len, 0.0);
+        }
+        f(&mut store[..len])
+    })
 }
 
 /// The portable reference microkernel: a plain `MRP × NRP` multiply-accumulate
@@ -454,7 +510,7 @@ fn scalar_micro<T, A, const MRP: usize, const NRP: usize>(
 /// uses under `variant` with an `m`-row left operand — exposed so scratch
 /// accounting can include the GEMM panel footprint.
 pub fn gemm_f32_b_panel_elems(variant: KernelVariant, m: usize, k: usize, n: usize) -> usize {
-    BLOCK_K.min(k.max(1)) * n.next_multiple_of(f32_nrp(variant, m))
+    BLOCK_K.min(k.max(1)) * n.next_multiple_of(f32_block(variant, m <= MR_THIN).1)
 }
 
 /// Element count of the packed `B` panel of a `k × n` `i8` GEMM under
@@ -495,34 +551,111 @@ fn i16_layout(variant: KernelVariant) -> (usize, usize) {
     }
 }
 
-/// The `N` width of the `f32` microkernel [`gemm_f32_into_with`] would pick.
-/// The VNNI and `sdot` tiers add nothing for `f32` and share the AVX-512 /
-/// NEON kernels.
-fn f32_nrp(variant: KernelVariant, m: usize) -> usize {
-    let thin = m <= MR_THIN;
+/// The `(MR, NR)` register block of the `f32` microkernel family `variant`
+/// dispatches to — the thin 4-row family for a left operand of at most
+/// [`MR_THIN`] rows, the 8-row one otherwise. Must mirror [`sweep_f32`]. The
+/// VNNI and `sdot` tiers add nothing for `f32` and share the AVX-512 / NEON
+/// kernels.
+pub(crate) fn f32_block(variant: KernelVariant, thin: bool) -> (usize, usize) {
+    let wide = match variant {
+        KernelVariant::Avx512 | KernelVariant::Avx512Vnni if cfg!(target_arch = "x86_64") => 16,
+        KernelVariant::Avx2 if cfg!(target_arch = "x86_64") => NR,
+        KernelVariant::Neon | KernelVariant::NeonDot if cfg!(target_arch = "aarch64") => NR,
+        _ => return (if thin { MR_THIN } else { MR }, NR),
+    };
+    if thin {
+        (MR_THIN, 2 * wide)
+    } else {
+        (MR, wide)
+    }
+}
+
+/// [`sweep_panels`] with `variant`'s `f32` microkernel: `C[m × n] (+)= A · B`
+/// over `kc`-deep panels in the [`f32_block`] geometry of `(variant, thin)`,
+/// `C` a strided view of row stride `ldc`. Every kernel runs one sequential
+/// `k` chain of fused multiply-adds per output element (the scalar kernel a
+/// multiply then an add), so the bits depend on the variant but not on the
+/// family, the blocking or which operand is which.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn sweep_f32(
+    variant: KernelVariant,
+    thin: bool,
+    c: &mut [f32],
+    ldc: usize,
+    m: usize,
+    n: usize,
+    kc: usize,
+    ap: &[f32],
+    bp: &[f32],
+    accumulate: bool,
+) {
     match variant {
-        KernelVariant::Avx512 | KernelVariant::Avx512Vnni if cfg!(target_arch = "x86_64") => {
-            if thin {
-                32
-            } else {
-                16
-            }
+        #[cfg(target_arch = "x86_64")]
+        KernelVariant::Avx2 if thin => {
+            sweep_panels::<_, _, 4, 16, 1>(c, ldc, m, n, kc, ap, bp, accumulate, |t, a, b, kc| {
+                // SAFETY: the caller-selected variant was feature-checked
+                // (dispatch or the `_with` contract); `t` comes from
+                // `sweep_panels`.
+                unsafe { x86::f32_4x16_avx2(t.c, t.ldc, a, b, kc) }
+            })
         }
-        KernelVariant::Avx2 if cfg!(target_arch = "x86_64") => {
-            if thin {
-                16
-            } else {
-                NR
-            }
+        #[cfg(target_arch = "x86_64")]
+        KernelVariant::Avx2 => {
+            sweep_panels::<_, _, 8, 8, 1>(c, ldc, m, n, kc, ap, bp, accumulate, |t, a, b, kc| {
+                // SAFETY: as above.
+                unsafe { x86::f32_8x8_avx2(t.c, t.ldc, a, b, kc) }
+            })
         }
-        KernelVariant::Neon | KernelVariant::NeonDot if cfg!(target_arch = "aarch64") => {
-            if thin {
-                16
-            } else {
-                NR
-            }
+        #[cfg(target_arch = "x86_64")]
+        KernelVariant::Avx512 | KernelVariant::Avx512Vnni if thin => {
+            sweep_panels::<_, _, 4, 32, 1>(c, ldc, m, n, kc, ap, bp, accumulate, |t, a, b, kc| {
+                // SAFETY: as above.
+                unsafe { x86::f32_4x32_avx512(t.c, t.ldc, a, b, kc) }
+            })
         }
-        _ => NR,
+        #[cfg(target_arch = "x86_64")]
+        KernelVariant::Avx512 | KernelVariant::Avx512Vnni => {
+            sweep_panels::<_, _, 8, 16, 1>(c, ldc, m, n, kc, ap, bp, accumulate, |t, a, b, kc| {
+                // SAFETY: as above.
+                unsafe { x86::f32_8x16_avx512(t.c, t.ldc, a, b, kc) }
+            })
+        }
+        #[cfg(target_arch = "aarch64")]
+        KernelVariant::Neon | KernelVariant::NeonDot if thin => {
+            sweep_panels::<_, _, 4, 16, 1>(c, ldc, m, n, kc, ap, bp, accumulate, |t, a, b, kc| {
+                // SAFETY: as above.
+                unsafe { neon::f32_4x16_neon(t.c, t.ldc, a, b, kc) }
+            })
+        }
+        #[cfg(target_arch = "aarch64")]
+        KernelVariant::Neon | KernelVariant::NeonDot => {
+            sweep_panels::<_, _, 8, 8, 1>(c, ldc, m, n, kc, ap, bp, accumulate, |t, a, b, kc| {
+                // SAFETY: as above.
+                unsafe { neon::f32_8x8_neon(t.c, t.ldc, a, b, kc) }
+            })
+        }
+        _ if thin => sweep_panels::<_, _, MR_THIN, NR, 1>(
+            c,
+            ldc,
+            m,
+            n,
+            kc,
+            ap,
+            bp,
+            accumulate,
+            scalar_micro::<f32, f32, MR_THIN, NR>,
+        ),
+        _ => sweep_panels::<_, _, MR, NR, 1>(
+            c,
+            ldc,
+            m,
+            n,
+            kc,
+            ap,
+            bp,
+            accumulate,
+            scalar_micro::<f32, f32, MR, NR>,
+        ),
     }
 }
 
@@ -598,77 +731,9 @@ pub fn gemm_f32_into_with(
     k: usize,
     n: usize,
 ) {
-    if !check_dims("gemm_f32_into", c, a, b, m, k, n) {
-        return;
+    if check_dims("gemm_f32_into", c, a, b, m, k, n) {
+        pack_and_sweep_f32(variant, c, a, b, m, k, n);
     }
-    // Panel scratch is parked per thread so repeated calls (one per Winograd
-    // tap) stay allocation-free.
-    thread_local! {
-        static B_PANEL: std::cell::RefCell<Vec<f32>> =
-            const { std::cell::RefCell::new(Vec::new()) };
-    }
-    B_PANEL.with(|cell| {
-        let bp = &mut *cell.borrow_mut();
-        match variant {
-            #[cfg(target_arch = "x86_64")]
-            KernelVariant::Avx2 if m <= MR_THIN => {
-                pack_and_sweep_f32::<4, 16>(c, a, b, m, k, n, bp, |t, ap, bpn, kc| {
-                    // SAFETY: the caller-selected variant was feature-checked
-                    // (dispatch or the `_with` contract); `t` comes from
-                    // `sweep_panels`.
-                    unsafe { x86::f32_4x16_avx2(t.c, t.ldc, ap, bpn, kc) }
-                })
-            }
-            #[cfg(target_arch = "x86_64")]
-            KernelVariant::Avx2 => {
-                pack_and_sweep_f32::<8, 8>(c, a, b, m, k, n, bp, |t, ap, bpn, kc| {
-                    // SAFETY: as above.
-                    unsafe { x86::f32_8x8_avx2(t.c, t.ldc, ap, bpn, kc) }
-                })
-            }
-            #[cfg(target_arch = "x86_64")]
-            KernelVariant::Avx512 | KernelVariant::Avx512Vnni if m <= MR_THIN => {
-                pack_and_sweep_f32::<4, 32>(c, a, b, m, k, n, bp, |t, ap, bpn, kc| {
-                    // SAFETY: as above.
-                    unsafe { x86::f32_4x32_avx512(t.c, t.ldc, ap, bpn, kc) }
-                })
-            }
-            #[cfg(target_arch = "x86_64")]
-            KernelVariant::Avx512 | KernelVariant::Avx512Vnni => {
-                pack_and_sweep_f32::<8, 16>(c, a, b, m, k, n, bp, |t, ap, bpn, kc| {
-                    // SAFETY: as above.
-                    unsafe { x86::f32_8x16_avx512(t.c, t.ldc, ap, bpn, kc) }
-                })
-            }
-            #[cfg(target_arch = "aarch64")]
-            KernelVariant::Neon | KernelVariant::NeonDot if m <= MR_THIN => {
-                pack_and_sweep_f32::<4, 16>(c, a, b, m, k, n, bp, |t, ap, bpn, kc| {
-                    // SAFETY: as above.
-                    unsafe { neon::f32_4x16_neon(t.c, t.ldc, ap, bpn, kc) }
-                })
-            }
-            #[cfg(target_arch = "aarch64")]
-            KernelVariant::Neon | KernelVariant::NeonDot => {
-                pack_and_sweep_f32::<8, 8>(c, a, b, m, k, n, bp, |t, ap, bpn, kc| {
-                    // SAFETY: as above.
-                    unsafe { neon::f32_8x8_neon(t.c, t.ldc, ap, bpn, kc) }
-                })
-            }
-            _ if m <= MR_THIN => pack_and_sweep_f32::<MR_THIN, NR>(
-                c,
-                a,
-                b,
-                m,
-                k,
-                n,
-                bp,
-                scalar_micro::<f32, f32, MR_THIN, NR>,
-            ),
-            _ => {
-                pack_and_sweep_f32::<MR, NR>(c, a, b, m, k, n, bp, scalar_micro::<f32, f32, MR, NR>)
-            }
-        }
-    });
 }
 
 /// The panel geometry of one integer GEMM operand under a kernel variant:
@@ -832,7 +897,7 @@ impl sealed::Sealed for i8 {
         match variant {
             #[cfg(target_arch = "x86_64")]
             KernelVariant::Avx2 => {
-                sweep_panels::<_, _, 8, 8, 2>(c, m, n, kcg, ap, bp, false, |t, a, b, kg| {
+                sweep_panels::<_, _, 8, 8, 2>(c, n, m, n, kcg, ap, bp, false, |t, a, b, kg| {
                     // SAFETY: the caller-selected variant was feature-checked;
                     // `t` comes from `sweep_panels`.
                     unsafe { x86::i8_8x8_madd_avx2(t.c, t.ldc, a, b, kg) }
@@ -840,7 +905,7 @@ impl sealed::Sealed for i8 {
             }
             #[cfg(target_arch = "x86_64")]
             KernelVariant::Avx512 => {
-                sweep_panels::<_, _, 8, 16, 2>(c, m, n, kcg, ap, bp, false, |t, a, b, kg| {
+                sweep_panels::<_, _, 8, 16, 2>(c, n, m, n, kcg, ap, bp, false, |t, a, b, kg| {
                     // SAFETY: as above.
                     unsafe { x86::i8_8x16_madd_avx512(t.c, t.ldc, a, b, kg) }
                 })
@@ -849,14 +914,14 @@ impl sealed::Sealed for i8 {
             KernelVariant::Avx512Vnni => match corr {
                 SignCorr::Rows(rows) => {
                     assert!(rows.len() >= m.next_multiple_of(8), "row corrections");
-                    sweep_panels::<_, _, 8, 16, 4>(c, m, n, kcg, ap, bp, false, |t, a, b, kg| {
+                    sweep_panels::<_, _, 8, 16, 4>(c, n, m, n, kcg, ap, bp, false, |t, a, b, kg| {
                         // SAFETY: as above; `rows` covers every row panel.
                         unsafe { x86::i8_8x16_vnni_ub(t.c, t.ldc, a, b, kg, rows[t.i0..].as_ptr()) }
                     })
                 }
                 SignCorr::Cols(cols) => {
                     assert!(cols.len() >= n.next_multiple_of(16), "column corrections");
-                    sweep_panels::<_, _, 8, 16, 4>(c, m, n, kcg, ap, bp, false, |t, a, b, kg| {
+                    sweep_panels::<_, _, 8, 16, 4>(c, n, m, n, kcg, ap, bp, false, |t, a, b, kg| {
                         // SAFETY: as above; `cols` covers every column panel.
                         unsafe { x86::i8_8x16_vnni_ua(t.c, t.ldc, a, b, kg, cols[t.j0..].as_ptr()) }
                     })
@@ -865,20 +930,21 @@ impl sealed::Sealed for i8 {
             },
             #[cfg(target_arch = "aarch64")]
             KernelVariant::Neon => {
-                sweep_panels::<_, _, 8, 8, 2>(c, m, n, kcg, ap, bp, false, |t, a, b, kg| {
+                sweep_panels::<_, _, 8, 8, 2>(c, n, m, n, kcg, ap, bp, false, |t, a, b, kg| {
                     // SAFETY: as above.
                     unsafe { neon::i8_8x8_pair_neon(t.c, t.ldc, a, b, kg) }
                 })
             }
             #[cfg(target_arch = "aarch64")]
             KernelVariant::NeonDot => {
-                sweep_panels::<_, _, 8, 8, 4>(c, m, n, kcg, ap, bp, false, |t, a, b, kg| {
+                sweep_panels::<_, _, 8, 8, 4>(c, n, m, n, kcg, ap, bp, false, |t, a, b, kg| {
                     // SAFETY: as above.
                     unsafe { neon::i8_8x8_dot_neon(t.c, t.ldc, a, b, kg) }
                 })
             }
             _ => sweep_panels::<_, _, MR, NR, 1>(
                 c,
+                n,
                 m,
                 n,
                 kcg,
@@ -939,7 +1005,7 @@ impl sealed::Sealed for i16 {
         match variant {
             #[cfg(target_arch = "x86_64")]
             KernelVariant::Avx2 => {
-                sweep_panels::<_, _, 8, 8, 2>(c, m, n, kcg, ap, bp, false, |t, a, b, kg| {
+                sweep_panels::<_, _, 8, 8, 2>(c, n, m, n, kcg, ap, bp, false, |t, a, b, kg| {
                     // SAFETY: the caller-selected variant was feature-checked;
                     // `t` comes from `sweep_panels`.
                     unsafe { x86::i16_8x8_madd_avx2(t.c, t.ldc, a, b, kg) }
@@ -947,27 +1013,28 @@ impl sealed::Sealed for i16 {
             }
             #[cfg(target_arch = "x86_64")]
             KernelVariant::Avx512 => {
-                sweep_panels::<_, _, 8, 16, 2>(c, m, n, kcg, ap, bp, false, |t, a, b, kg| {
+                sweep_panels::<_, _, 8, 16, 2>(c, n, m, n, kcg, ap, bp, false, |t, a, b, kg| {
                     // SAFETY: as above.
                     unsafe { x86::i16_8x16_madd_avx512(t.c, t.ldc, a, b, kg) }
                 })
             }
             #[cfg(target_arch = "x86_64")]
             KernelVariant::Avx512Vnni => {
-                sweep_panels::<_, _, 8, 16, 2>(c, m, n, kcg, ap, bp, false, |t, a, b, kg| {
+                sweep_panels::<_, _, 8, 16, 2>(c, n, m, n, kcg, ap, bp, false, |t, a, b, kg| {
                     // SAFETY: as above.
                     unsafe { x86::i16_8x16_dpwssd(t.c, t.ldc, a, b, kg) }
                 })
             }
             #[cfg(target_arch = "aarch64")]
             KernelVariant::Neon | KernelVariant::NeonDot => {
-                sweep_panels::<_, _, 8, 8, 1>(c, m, n, kcg, ap, bp, false, |t, a, b, kc| {
+                sweep_panels::<_, _, 8, 8, 1>(c, n, m, n, kcg, ap, bp, false, |t, a, b, kc| {
                     // SAFETY: as above.
                     unsafe { neon::i16_8x8_neon(t.c, t.ldc, a, b, kc) }
                 })
             }
             _ => sweep_panels::<_, _, MR, NR, 1>(
                 c,
+                n,
                 m,
                 n,
                 kcg,
@@ -1699,11 +1766,18 @@ mod neon {
     }
 }
 
+/// Rows of `C` per parallel chunk of an `m`-row product: one chunk per
+/// worker thread, rounded up to whole [`MR`]-row panels — every chunk packs
+/// `B` for itself, so more chunks than threads only repeats that work.
+fn row_chunk(m: usize) -> usize {
+    m.div_ceil(max_threads()).next_multiple_of(MR)
+}
+
 /// Multiplies two row-major `f32` matrices: `C[M×N] = A[M×K] · B[K×N]`.
 ///
-/// Row blocks of `C` ([`BLOCK_M`] rows each) are independent and are
-/// distributed over the worker threads
-/// ([`crate::parallel::parallel_chunks_mut`]); each block runs the packed
+/// Row chunks of `C` (one per worker thread, see [`row_chunk`]) are
+/// independent and are distributed over the worker threads
+/// ([`crate::parallel::parallel_chunks_mut`]); each chunk runs the packed
 /// sequential kernel [`gemm_f32_into`] on its row slice of `A`.
 ///
 /// # Panics
@@ -1720,8 +1794,9 @@ pub fn gemm_f32(a: &Tensor<f32>, b: &Tensor<f32>) -> Tensor<f32> {
     if m > 0 && n > 0 {
         let a_s = a.as_slice();
         let b_s = b.as_slice();
-        parallel_chunks_mut(&mut c, BLOCK_M * n, |blk, c_block| {
-            let i0 = blk * BLOCK_M;
+        let chunk = row_chunk(m);
+        parallel_chunks_mut(&mut c, chunk * n, |blk, c_block| {
+            let i0 = blk * chunk;
             let rows = c_block.len() / n;
             gemm_f32_into(c_block, &a_s[i0 * k..(i0 + rows) * k], b_s, rows, k, n);
         });
@@ -1735,7 +1810,7 @@ pub fn gemm_f32(a: &Tensor<f32>, b: &Tensor<f32>) -> Tensor<f32> {
 /// This mirrors the integer datapath of the Cube Unit: int8 operands, int32
 /// accumulators, no saturation (the accumulator is wide enough for the layer
 /// sizes used in the paper: `K ≤ 2^15` keeps the result well inside `i32`).
-/// Blocking and row-block parallelism follow [`gemm_f32`].
+/// Row-chunk parallelism follows [`gemm_f32`].
 ///
 /// # Panics
 ///
@@ -1754,8 +1829,9 @@ pub fn gemm_i8_i32(a: &Tensor<i8>, b: &Tensor<i8>) -> Tensor<i32> {
     if m > 0 && n > 0 {
         let a_s = a.as_slice();
         let b_s = b.as_slice();
-        parallel_chunks_mut(&mut c, BLOCK_M * n, |blk, c_block| {
-            let i0 = blk * BLOCK_M;
+        let chunk = row_chunk(m);
+        parallel_chunks_mut(&mut c, chunk * n, |blk, c_block| {
+            let i0 = blk * chunk;
             let rows = c_block.len() / n;
             gemm_i8_i32_into(c_block, &a_s[i0 * k..(i0 + rows) * k], b_s, rows, k, n);
         });

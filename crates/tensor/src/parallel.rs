@@ -1,12 +1,12 @@
 //! Scoped-thread data parallelism for the hot kernels.
 //!
 //! The build environment has no registry access, so instead of `rayon` this
-//! module provides the two fork–join shapes the workspace needs — an indexed
-//! map and a disjoint-chunk mutation — on top of `std::thread::scope`. The
-//! worker count defaults to the machine's available parallelism and can be
-//! overridden globally (benchmarks use this to compare single- and
-//! multi-threaded runs) or per process via the `WINO_THREADS` environment
-//! variable.
+//! module provides the fork–join shapes the workspace needs — an indexed
+//! map and a for-each over owned items (disjoint-chunk mutation is the common
+//! case of it) — on top of `std::thread::scope`. The worker count defaults to
+//! the machine's available parallelism and can be overridden globally
+//! (benchmarks use this to compare single- and multi-threaded runs) or per
+//! process via the `WINO_THREADS` environment variable.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -19,9 +19,10 @@ static MAX_THREADS: AtomicUsize = AtomicUsize::new(0);
 /// lock and dominates small GEMMs.
 static AUTO_THREADS: OnceLock<usize> = OnceLock::new();
 
-/// Sets the number of worker threads used by [`parallel_map`] and
-/// [`parallel_chunks_mut`]. `0` restores the default (all available cores,
-/// or the `WINO_THREADS` environment variable when set).
+/// Sets the number of worker threads used by [`parallel_map`],
+/// [`parallel_for_each`] and [`parallel_chunks_mut`]. `0` restores the
+/// default (all available cores, or the `WINO_THREADS` environment variable
+/// when set).
 pub fn set_max_threads(n: usize) {
     MAX_THREADS.store(n, Ordering::Relaxed);
 }
@@ -124,6 +125,46 @@ pub fn split_ranges(n: usize, max_chunk: usize) -> Vec<std::ops::Range<usize>> {
     ranges
 }
 
+/// Runs `f(item)` once for every item, spread over the worker threads in
+/// contiguous batches. Items typically carry disjoint `&mut` borrows, so the
+/// closure can write through them without synchronisation.
+///
+/// With one worker configured the items are consumed straight off the
+/// iterator, without allocating.
+pub fn parallel_for_each<T, F>(items: impl Iterator<Item = T>, f: F)
+where
+    T: Send,
+    F: Fn(T) + Sync,
+{
+    if max_threads() <= 1 {
+        return items.for_each(f);
+    }
+    let mut items: Vec<T> = items.collect();
+    let workers = max_threads().min(items.len());
+    if workers <= 1 {
+        return items.into_iter().for_each(f);
+    }
+    std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(workers);
+        for w in 0..workers {
+            // Hand each worker a contiguous batch from the tail of the list,
+            // sized by the items still unassigned and the workers still to
+            // come so the final worker always drains the list.
+            let take = items.len().div_ceil(workers - w);
+            if take == 0 {
+                break;
+            }
+            let batch = items.split_off(items.len() - take);
+            let f = &f;
+            handles.push(scope.spawn(move || batch.into_iter().for_each(f)));
+        }
+        debug_assert!(items.is_empty(), "parallel_for_each left items unassigned");
+        for h in handles {
+            h.join().expect("parallel_for_each worker panicked");
+        }
+    });
+}
+
 /// Splits `data` into consecutive chunks of `chunk_len` elements (the last may
 /// be shorter) and runs `f(chunk_index, chunk)` on the worker threads, each
 /// chunk exactly once.
@@ -139,40 +180,8 @@ where
         chunk_len > 0,
         "parallel_chunks_mut: chunk_len must be positive"
     );
-    let n_chunks = data.len().div_ceil(chunk_len);
-    let workers = max_threads().min(n_chunks);
-    if workers <= 1 {
-        for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(i, chunk);
-        }
-        return;
-    }
-    let mut chunks: Vec<(usize, &mut [T])> = data.chunks_mut(chunk_len).enumerate().collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            // Hand each worker a contiguous batch from the tail of the list,
-            // sized by the chunks still unassigned and the workers still to
-            // come so the final worker always drains the list.
-            let take = chunks.len().div_ceil(workers - w);
-            if take == 0 {
-                break;
-            }
-            let batch: Vec<(usize, &mut [T])> = chunks.split_off(chunks.len() - take);
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                for (i, chunk) in batch {
-                    f(i, chunk);
-                }
-            }));
-        }
-        debug_assert!(
-            chunks.is_empty(),
-            "parallel_chunks_mut left chunks unassigned"
-        );
-        for h in handles {
-            h.join().expect("parallel_chunks_mut worker panicked");
-        }
+    parallel_for_each(data.chunks_mut(chunk_len).enumerate(), |(i, chunk)| {
+        f(i, chunk)
     });
 }
 

@@ -2,8 +2,9 @@
 
 use proptest::prelude::*;
 use wino_tensor::{
-    conv2d_direct, conv2d_im2col, gemm_f32, gemm_i16_i32_into_with, gemm_i8_i32_into_with, normal,
-    simd, ConvParams, Tensor,
+    apply_epilogue, conv2d_direct, conv2d_im2col, gemm_f32, gemm_f32_into_with,
+    gemm_i16_i32_into_with, gemm_i8_i32_into_with, im2col, normal, set_max_threads, simd,
+    ConvParams, EpilogueOps, PreparedGemmConv, Tensor,
 };
 
 /// A tiny deterministic mixer so the operand patterns vary with the proptest
@@ -15,6 +16,112 @@ fn mix(seed: u64, i: usize) -> u64 {
     z ^= z >> 30;
     z = z.wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z ^ (z >> 27)
+}
+
+/// The formulation the prepared GEMM convolution replaced, kept as its
+/// oracle: materialise the lowered matrix, multiply it by the
+/// `[C_in·K², C_out]` weight matrix with `variant`'s GEMM, and scatter the
+/// `[pixels, C_out]` product back to NCHW. The epilogue is applied by the
+/// caller as a separate pass.
+fn lowered_gemm_conv(
+    variant: simd::KernelVariant,
+    x: &Tensor<f32>,
+    w: &Tensor<f32>,
+    params: ConvParams,
+) -> Tensor<f32> {
+    let lowered = im2col(x, params);
+    let (rows, cols) = (lowered.dims()[0], lowered.dims()[1]);
+    let c_out = w.dims()[0];
+    let mut wmat = vec![0.0_f32; cols * c_out];
+    for (i, &v) in w.as_slice().iter().enumerate() {
+        wmat[i % cols * c_out + i / cols] = v;
+    }
+    let mut prod = vec![0.0_f32; rows * c_out];
+    gemm_f32_into_with(
+        variant,
+        &mut prod,
+        lowered.as_slice(),
+        &wmat,
+        rows,
+        cols,
+        c_out,
+    );
+    let (h_out, w_out) = params.output_hw(x.dims()[2], x.dims()[3]);
+    let pixels = h_out * w_out;
+    Tensor::from_fn(&[x.dims()[0], c_out, h_out, w_out], |i| {
+        let (ni, co, p) = (i / (c_out * pixels), i / pixels % c_out, i % pixels);
+        prod[(ni * pixels + p) * c_out + co]
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The prepared GEMM convolution is **bitwise** the old
+    /// `gemm_f32(im2col(x), wmat)` + `apply_epilogue` formulation: for every
+    /// kernel size, stride and padding, non-square images, batches, `C_out`
+    /// on both sides of the `MR_THIN` (4) and `MR` (8) register-block edges,
+    /// `C_in·K²` up to past two `BLOCK_K` (256) boundaries, pixel counts past
+    /// the 256-pixel column block, all sixteen epilogues, every SIMD variant
+    /// the host has, on one and on two worker threads.
+    #[test]
+    fn prepared_gemm_conv_is_bitwise_the_lowered_gemm(
+        kernel_ix in 0usize..4,
+        stride in 1usize..3,
+        pad_ix in 0usize..4,
+        n in 1usize..4,
+        c_out in 1usize..19,
+        depth in 1usize..600,
+        h in 3usize..19,
+        w_off in 1usize..5,
+        seed in 0u64..1000,
+    ) {
+        let kernel = [1, 3, 5, 7][kernel_ix];
+        let padding = pad_ix % (kernel / 2 + 1);
+        let w_in = h + w_off;
+        prop_assume!(h + 2 * padding >= kernel);
+        let params = ConvParams::new(kernel, stride, padding);
+        // `depth` aims `C_in·K²` anywhere up to two `K` blocks and a bit.
+        let c_in = depth.div_ceil(kernel * kernel);
+        let x = normal(&[n, c_in, h, w_in], 0.0, 1.0, seed);
+        let w = normal(&[c_out, c_in, kernel, kernel], 0.0, 0.5, seed + 1);
+        let (h_out, w_out) = params.output_hw(h, w_in);
+        let bias = normal(&[c_out], 0.0, 0.5, seed + 2);
+        let residual = normal(&[n, c_out, h_out, w_out], 0.0, 1.0, seed + 3);
+        for variant in simd::available() {
+            let bare = lowered_gemm_conv(variant, &x, &w, params);
+            let prepared = PreparedGemmConv::prepare_with(variant, &w, params);
+            for mask in 0..16 {
+                let ops = EpilogueOps {
+                    bias: (mask & 1 != 0).then_some(&bias),
+                    residual: (mask & 2 != 0).then_some(&residual),
+                    pre_add_relu: mask & 4 != 0,
+                    relu: mask & 8 != 0,
+                };
+                let mut want = bare.clone();
+                apply_epilogue(&mut want, &ops);
+                // The worker count is process-global: the other tests of this
+                // file are thread-count-agnostic, so flipping it under them
+                // is harmless.
+                for threads in [1, 2] {
+                    set_max_threads(threads);
+                    let got = prepared.forward(&x, &ops);
+                    set_max_threads(0);
+                    prop_assert_eq!(got.dims(), want.dims());
+                    let same = got
+                        .as_slice()
+                        .iter()
+                        .zip(want.as_slice())
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                    prop_assert!(
+                        same,
+                        "{} epilogue {mask:04b} on {threads} thread(s)",
+                        variant.name()
+                    );
+                }
+            }
+        }
+    }
 }
 
 proptest! {

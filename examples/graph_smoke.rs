@@ -2,14 +2,17 @@
 //! flow conv → residual add → ReLU end to end, each 3×3 node runs the integer
 //! tap-wise Winograd pipeline with cached prepared state, and the run report
 //! prints the per-node kernel histogram, the activation arena's peak memory,
-//! and the cold-vs-cached run times. Used as the CI end-to-end check.
+//! and the cold-vs-cached run times. Then runs quantized ResNet-50 (bottleneck
+//! blocks: most conv nodes are 1×1 or strided) and checks that every node no
+//! Winograd kernel takes ran the prepared GEMM convolution. Used as the CI
+//! end-to-end check.
 //!
 //! ```sh
 //! cargo run --release --example graph_smoke
 //! ```
 
 use winograd_tapwise::wino_core::{GraphExecutor, GraphRunOptions, TileSize, WinogradQuantConfig};
-use winograd_tapwise::wino_nets::resnet20_graph;
+use winograd_tapwise::wino_nets::{resnet20_graph, resnet50_graph, GraphOp};
 
 fn main() {
     let graph = resnet20_graph();
@@ -60,5 +63,33 @@ fn main() {
         "cached state changed the result"
     );
     assert!(err < 0.25, "end-to-end error {err} out of bounds");
+
+    // Every conv that is not a 3×3 runs the prepared GEMM convolution.
+    let graph = resnet50_graph(64);
+    let prepared = exec.prepare(&graph, &opts);
+    exec.warmup(&prepared);
+    let run = exec.run(&prepared);
+    let mut fallback = (0usize, 0.0f64);
+    for (node, ran) in graph.nodes().iter().zip(&run.nodes) {
+        assert!(ran.checksum.is_finite(), "{}: non-finite output", ran.name);
+        if matches!(&node.op, GraphOp::Conv(l) if l.kernel != 3) {
+            assert_eq!(
+                ran.backend,
+                Some("im2col-gemm"),
+                "{} left the GEMM path",
+                ran.name
+            );
+            fallback = (fallback.0 + 1, fallback.1 + ran.seconds);
+        }
+    }
+    assert!(run.outputs[0].1.abs_max().is_finite(), "non-finite logits");
+    println!(
+        "{}: {} of {} conv nodes on im2col-gemm, {:.1} of {:.1} ms",
+        graph.name,
+        fallback.0,
+        graph.conv_count(),
+        fallback.1 * 1e3,
+        run.total_seconds * 1e3
+    );
     println!("graph smoke OK");
 }

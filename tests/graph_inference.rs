@@ -12,6 +12,65 @@ use winograd_tapwise::wino_core::{
 use winograd_tapwise::wino_nets::{
     resnet20_graph, resnet34_graph, resnet50_graph, retinanet_graph, unet_graph, GraphOp,
 };
+use winograd_tapwise::wino_tensor::{
+    batch_slice, concat_batch, normal, set_max_threads, ConvParams, EpilogueOps, PreparedGemmConv,
+};
+
+/// Counts the heap allocations of the calling thread (tests of this binary
+/// run on parallel threads), for the allocation pin below.
+struct CountingAlloc;
+
+thread_local! {
+    static THREAD_ALLOCS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+fn thread_allocs() -> usize {
+    THREAD_ALLOCS.with(std::cell::Cell::get)
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a plain thread-local
+// cell without a destructor and touches no allocator state.
+unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+        let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+        // SAFETY: the caller's `layout` is passed through as given.
+        unsafe { std::alloc::System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
+        let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+        // SAFETY: as for `alloc`.
+        unsafe { std::alloc::System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new: usize) -> *mut u8 {
+        let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+        // SAFETY: `ptr` and `layout` come from this allocator, which only
+        // ever hands out `System` blocks.
+        unsafe { std::alloc::System.realloc(ptr, layout, new) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { std::alloc::System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Held by every test that runs a quantized executor: `prepare_call_count`
+/// is process-wide, and the test differencing it must not see the integer
+/// prepares of a test running beside it.
+static INT_PREPARES: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn int_prepares() -> std::sync::MutexGuard<'static, ()> {
+    // A failed holder poisons nothing the counter cares about.
+    INT_PREPARES
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Residual adds verified against the direct-convolution ground truth: the
 /// Winograd-planned ResNet-20 graph and the all-direct reference must compute
@@ -111,6 +170,7 @@ fn all_benchmark_graphs_run_end_to_end() {
 /// bit-identical.
 #[test]
 fn int_prepare_runs_once_per_node_across_repeated_runs() {
+    let _serial = int_prepares();
     let graph = resnet20_graph().with_channel_div(4);
     let exec = GraphExecutor::quantized(WinogradQuantConfig::tapwise_po2(TileSize::F4, 10));
     let prepared = exec.prepare(&graph, &GraphRunOptions::default());
@@ -147,6 +207,7 @@ fn int_prepare_runs_once_per_node_across_repeated_runs() {
 /// within the existing per-layer bound of the integer backend (0.25).
 #[test]
 fn int_graph_error_stays_within_per_layer_bound() {
+    let _serial = int_prepares();
     let graph = resnet20_graph().with_channel_div(4);
     let opts = GraphRunOptions::default();
     let float = GraphExecutor::with_defaults();
@@ -165,6 +226,7 @@ fn int_graph_error_stays_within_per_layer_bound() {
 /// the quantized path (run 1 pays per-node calibration + prepare).
 #[test]
 fn cached_quantized_runs_beat_the_calibrating_first_run() {
+    let _serial = int_prepares();
     let graph = resnet20_graph().with_channel_div(2);
     let exec = GraphExecutor::quantized(WinogradQuantConfig::tapwise_po2(TileSize::F4, 8));
     let prepared = exec.prepare(&graph, &GraphRunOptions::default());
@@ -178,4 +240,80 @@ fn cached_quantized_runs_beat_the_calibrating_first_run() {
         warm < cold,
         "cached run ({warm:.4}s) not faster than calibrating run ({cold:.4}s)"
     );
+}
+
+/// The bottleneck topology (1×1 → 3×3 → 1×1 with 1×1 stride-2 projections
+/// and the 7×7 stem) puts most conv nodes on the prepared GEMM convolution.
+/// On both executors a batched run must equal the per-image runs stacked bit
+/// for bit — `Y[n] = W · X[n]` touches one image at a time — and the float
+/// run must match the direct reference within the FP32 bound.
+#[test]
+fn bottleneck_graph_batches_bitwise_and_matches_direct_reference() {
+    let _serial = int_prepares();
+    let graph = resnet50_graph(64).with_channel_div(8);
+    let opts = GraphRunOptions::default();
+    let (c, h, w) = graph.validate().expect("valid graph")[graph.input_ids()[0]];
+    let images: Vec<_> = (0..3)
+        .map(|i| normal(&[1, c, h, w], 0.0, 1.0, 70 + i))
+        .collect();
+    let stacked = concat_batch(&images.iter().collect::<Vec<_>>());
+    for exec in [
+        GraphExecutor::with_defaults(),
+        GraphExecutor::quantized(WinogradQuantConfig::tapwise_po2(TileSize::F4, 8)),
+    ] {
+        let prepared = exec.prepare(&graph, &opts);
+        // Freezes the integer calibration (a no-op for the float executor)
+        // so every later run quantizes against the same scales.
+        let batched = exec.calibrate_with(&prepared, std::slice::from_ref(&stacked));
+        let fallback = batched
+            .nodes
+            .iter()
+            .filter(|n| n.backend == Some("im2col-gemm"))
+            .count();
+        assert!(
+            fallback >= 30,
+            "only {fallback} nodes on the GEMM convolution"
+        );
+        for (i, x) in images.iter().enumerate() {
+            let single = exec.run_with_inputs(&prepared, std::slice::from_ref(x));
+            let got = batch_slice(&batched.outputs[0].1, i, 1);
+            assert_eq!(got, single.outputs[0].1, "image {i} changed under batching");
+        }
+    }
+    let fast = GraphExecutor::with_defaults();
+    let reference = GraphExecutor::reference();
+    let a = fast.run(&fast.prepare(&graph, &opts));
+    let b = reference.run(&reference.prepare(&graph, &opts));
+    let err = a.outputs[0].1.relative_error(&b.outputs[0].1);
+    assert!(err < 1e-4, "bottleneck graph diverges from direct: {err}");
+}
+
+/// A warmed prepared GEMM convolution allocates its output tensor (data and
+/// dimensions) and nothing else: the weights were packed at prepare, the
+/// lowered matrix is never built, and the gathered panel is parked on the
+/// thread.
+#[test]
+fn warmed_fallback_conv_allocates_only_its_output() {
+    // Two workers would add the fork-join bookkeeping; the other tests of
+    // this binary do not depend on the worker count.
+    set_max_threads(1);
+    let params = ConvParams::new(3, 2, 1);
+    let x = normal(&[2, 40, 13, 11], 0.0, 1.0, 1);
+    let w = normal(&[24, 40, 3, 3], 0.0, 0.3, 2);
+    let bias = normal(&[24], 0.0, 0.3, 3);
+    let residual = normal(&[2, 24, 7, 6], 0.0, 1.0, 4);
+    let ops = EpilogueOps {
+        bias: Some(&bias),
+        residual: Some(&residual),
+        pre_add_relu: false,
+        relu: true,
+    };
+    let prepared = PreparedGemmConv::prepare(&w, params);
+    let warm = prepared.forward(&x, &ops);
+    let before = thread_allocs();
+    let again = prepared.forward(&x, &ops);
+    let allocs = thread_allocs() - before;
+    set_max_threads(0);
+    assert_eq!(allocs, 2, "a warmed forward allocated beyond its output");
+    assert_eq!(warm, again);
 }
