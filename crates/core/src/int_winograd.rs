@@ -2,24 +2,33 @@
 //!
 //! This module implements the datapath the paper's accelerator executes:
 //!
-//! 1. spatial int8 activations are transformed with the integer `Bᵀ · x · B`
-//!    (exact in `i32` because the F2/F4 `B` matrices only contain small
-//!    integers),
+//! 1. spatial int8 activations are transformed with the integer `Bᵀ · x · B`,
+//!    exact in `i16` lanes (`|Bᵀ·x·B| ≤ 128·‖Bᵀ‖∞²`, checked at prepare), by
+//!    the hand-factored shift-and-add engines of [`wino_tensor::simd`]: the
+//!    column pass on whole NCHW rows, the row pass on tile lanes spanning the
+//!    strip group (thin layers lane both over channels),
 //! 2. each tap is re-quantized to `wino_bits` with the tap-wise scale `S_B`
-//!    (a shift when the scales are powers of two),
+//!    through `f32` (divide, round half-even, clamp), the codes landing
+//!    directly in the tap GEMM's packed activation panel,
 //! 3. weights, pre-transformed offline with `G · f · Gᵀ`, quantized tap-wise
 //!    with `S_G` and packed **once** into the GEMM microkernel's panel layout,
 //!    are multiplied elementwise and accumulated over the input channels in
 //!    `i32` (the Cube Unit's batched MatMul) — `i8` codes at ≤ 8
 //!    Winograd-domain bits, `i16` above,
-//! 4. the accumulator is rescaled once per tap with `S_BG` and transformed back
-//!    with the integer `Aᵀ · M · A`,
+//! 4. the accumulator is rescaled once per tap with `S_BG` into `f32` and
+//!    transformed back with `Aᵀ · M · A` in `f32`, one register-blocked pass
+//!    per lane block,
 //! 5. the spatial-domain output is re-quantized to int8.
+//!
+//! The accelerator's shift-only requantization (step 2) and integer
+//! `Aᵀ · M · A` (step 4) change the codes and are not implemented.
 
 use crate::epilogue::{apply_epilogue, EpilogueOps};
 use crate::matrices::{TileSize, WinogradMatrices};
 use crate::quant::{QuantBits, QuantParams};
-use crate::scratch::{strip_group_len, with_tap_scratch, CodePanels, Parked, StageLanes};
+use crate::scratch::{
+    strip_group_len, with_tap_scratch, CodePanels, IntStageLens, Parked, StageLanes,
+};
 use crate::tapwise::{ScaleMode, TapwiseScales};
 use crate::transform::{weight_transform, TileGrid};
 use crate::winograd::{
@@ -27,11 +36,13 @@ use crate::winograd::{
     TAP_GEMM_SYM,
 };
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
+use wino_tensor::simd::{self, KernelVariant, OutputLanes, PanelSlot, TileLanes};
 use wino_tensor::{
-    gemm_packed_i32_into, parallel_map, simd, split_ranges, Element, PackedCode, PackedWeights,
-    Tensor,
+    gemm_packed_i32_into, parallel_map, split_ranges, Element, PackedCode, PackedWeights,
+    PanelLayout, Tensor,
 };
 use wino_trace::{Phase, PhaseClock, PhaseProbe};
 
@@ -135,9 +146,6 @@ pub struct IntWinogradConv {
     /// the active kernel variant's panel layout — `i8` codes at `wino_bits`
     /// ≤ 8, `i16` above.
     taps: TapWeights,
-    /// The integer transform matrices (boxed: the graph executor keeps
-    /// prepared layers inline in an enum).
-    int_mats: Box<IntTransforms>,
     /// Tap-wise scales of the quantized weights.
     weight_scales: Tensor<f32>,
     /// Tap-wise scales applied to the *integer* transformed input
@@ -149,16 +157,6 @@ pub struct IntWinogradConv {
     output_params: QuantParams,
     /// Optional per-phase profiling sink (attached by the graph executor).
     probe: Option<Arc<PhaseProbe>>,
-}
-
-/// `Bᵀ` and `Aᵀ` as integers — exact for F2/F4, whose transform matrices
-/// only contain small integers.
-#[derive(Debug, Clone)]
-struct IntTransforms {
-    /// `Bᵀ` (`t × t`, row-major).
-    bt: [i32; INT_MAX_TT],
-    /// `Aᵀ` (`m × t`, row-major).
-    at: [i32; INT_MAX_TT],
 }
 
 /// A Winograd-domain code type of the tap GEMM: `i8` or `i16`.
@@ -249,17 +247,22 @@ fn pack_taps<T: TapCode>(
         .collect()
 }
 
+/// One tap-major work item's output: its tile-row strips and their
+/// `[strip][c_out][row][w]` values. The merge takes the grouping from here
+/// rather than recomputing it (it depends on the worker-thread setting).
+type StripBuf<O> = (Range<usize>, Vec<O>);
+
 /// The scatter-stage emit of the tap-major pipeline, split in two so the
-/// expensive part vectorizes: [`TapEmit::stage`] requantizes one contiguous
-/// SoA lane row (the divide/round/clamp the phase profile charges to the
+/// expensive part vectorizes: [`TapEmit::stage`] requantizes an output
+/// channel's contiguous lanes (the divide/round/clamp the phase profile charges to the
 /// epilogue) through the [`wino_tensor::simd`] primitives, and
 /// [`TapEmit::finish`] applies the scalar tail — residual add and post-ReLU,
 /// the steps that need the strided global NCHW index — as each staged element
 /// is scattered to its output row.
 trait TapEmit: Sync {
     type Out: Element + Parked<StageLanes>;
-    /// Vectorized requantization of one tile-lane row for output channel
-    /// `co`: `dst[i] = requant(src[i])`, contiguous over tiles.
+    /// Vectorized requantization of output channel `co`'s `[m² rows][tile
+    /// lanes]` block: `dst[i] = requant(src[i])`.
     fn stage(&self, co: usize, dst: &mut [Self::Out], src: &[f32]);
     /// Scalar tail applied as the staged element lands on NCHW index `idx`.
     fn finish(&self, staged: Self::Out, idx: usize) -> Self::Out;
@@ -368,6 +371,202 @@ impl TapEmit for ResidualEmit<'_> {
     }
 }
 
+/// The largest magnitude `Bᵀ · d · B` can reach on int8 tiles:
+/// `128 · ‖Bᵀ‖∞²` (F2: 512, F4: 12 800). The transform engines run in `i16`
+/// lanes, so this must stay inside `i16` for the integers to be exact.
+fn int_lane_bound(mats: &WinogradMatrices) -> f32 {
+    let t = mats.input_tile();
+    let row_sum = |r: usize| (0..t).map(|k| mats.bt.at2(r, k).abs()).sum::<f32>();
+    let norm = (0..t).map(row_sum).fold(0.0, f32::max);
+    128.0 * norm * norm
+}
+
+/// One forward call's fused input stage: gather, integer `Bᵀ · x · B` and
+/// tap-wise requantization of a strip group in one go, from the NCHW rows
+/// straight into the tap GEMMs' activation panels. Public so the equivalence
+/// suite can drive the stage on its own, under any kernel variant.
+#[derive(Debug, Clone, Copy)]
+pub struct InputStage<'a> {
+    /// The kernel variant of every primitive the stage calls.
+    pub variant: KernelVariant,
+    /// The int8 NCHW input.
+    pub x: &'a [i8],
+    /// Its `[n, c_in, h, w]`.
+    pub dims: [usize; 4],
+    /// Output tile edge `m` (2 or 4).
+    pub m: usize,
+    /// Lanes over channels (thin layers) instead of over tiles.
+    pub lane_channels: bool,
+    /// Layout of the activation panels.
+    pub layout: PanelLayout,
+    /// Whether codes are stored sign-flipped ([`PackedWeights::act_flip`]).
+    pub flip: bool,
+    /// `S_B` per tap, row-major `t × t`.
+    pub scales: &'a [f32],
+    /// The `wino_bits` clamp `(lo, hi)`.
+    pub clamp: (i32, i32),
+}
+
+impl InputStage<'_> {
+    /// Codes the stage writes for `ntiles` tiles: the `t²` activation
+    /// panels, plus (channel lanes) the contiguous row a tile's codes are
+    /// quantized into before they are dealt into the panel's `K` groups.
+    fn panel_elems(&self, ntiles: usize) -> usize {
+        let (t, c_in) = (self.m + 2, self.dims[1]);
+        let code_row = if self.lane_channels { c_in } else { 0 };
+        t * t * self.layout.elems(c_in, ntiles) + code_row
+    }
+
+    /// The staging a group of `ntiles` tiles needs.
+    fn staging(&self, ntiles: usize) -> IntStageLens {
+        let [n, c_in, h, w] = self.dims;
+        IntStageLens::new(self.lane_channels, self.m + 2, c_in, n * h * w, w, ntiles)
+    }
+
+    /// The `t²` activation panels (each `layout.elems(c_in, tiles)` codes,
+    /// padding zeroed) of the tile-row strips `strips`, on freshly allocated
+    /// staging.
+    pub fn codes<T: PackedCode>(&self, strips: Range<usize>) -> Vec<T> {
+        let (t, ntiles) = (self.m + 2, strips.len() * self.dims[3].div_ceil(self.m));
+        let lens = self.staging(ntiles);
+        let mut v = vec![T::default(); self.panel_elems(ntiles)];
+        self.run(
+            strips,
+            &mut v,
+            &mut vec![0; lens.lanes],
+            &mut vec![0; lens.px],
+        );
+        v.truncate(t * t * self.layout.elems(self.dims[1], ntiles));
+        v
+    }
+
+    /// Fills `v` ([`InputStage::panel_elems`] long) with the codes of the
+    /// tile-row strips `strips`, on [`IntStageLens`]-sized staging: the
+    /// per-tile reference's codes on every kernel variant (exact integer
+    /// steps, the canonical requantization expression).
+    fn run<T: PackedCode>(
+        &self,
+        strips: Range<usize>,
+        v: &mut [T],
+        lanes: &mut [i16],
+        px: &mut [i8],
+    ) {
+        let [_, c_in, h, w] = self.dims;
+        let (m, t, variant) = (self.m, self.m + 2, self.variant);
+        let grid = TileGrid::new(h, w, m, 1);
+        let ntiles = strips.len() * grid.tiles_w;
+        let lens = self.staging(ntiles);
+        let v_tap = self.layout.elems(c_in, ntiles);
+        let (lo, hi) = self.clamp;
+        let strip_at = |s: usize| (s / grid.tiles_h, s % grid.tiles_h);
+        // Input row/column `tile · m + d − 1`, if inside the image.
+        let inside = |tile: usize, d: usize, len: usize| {
+            let i = (tile * m + d).wrapping_sub(1);
+            (i < len).then_some(i)
+        };
+        // Row pass of tile row `r`: its `t` lane rows (`stride` apart, `n`
+        // lanes each; F2 uses four of the six slots) into `taps`.
+        let row_pass = |rows: &[i16], r: usize, stride: usize, n: usize, taps: &mut [i16]| {
+            let src: [&[i16]; 6] = std::array::from_fn(|k| &rows[(r * t + k % t) * stride..][..n]);
+            simd::wino_bt_pass_with(variant, &src[..t], taps, n);
+        };
+
+        if self.lane_channels {
+            // The planes transposed once into `[pixel][c_in]`: every pixel
+            // of a tile is then a contiguous row of channel lanes.
+            let (zero, planes) = px.split_at_mut(c_in);
+            zero.fill(0);
+            for (at, lanes) in planes.chunks_exact_mut(c_in).enumerate() {
+                let (ni, pixel) = (at / (h * w), at % (h * w));
+                for (ci, code) in lanes.iter_mut().enumerate() {
+                    *code = self.x[(ni * c_in + ci) * h * w + pixel];
+                }
+            }
+            let (zero, planes) = (&*zero, &*planes);
+            let (tile, taps) = lanes.split_at_mut(t * t * c_in);
+            let (panels, codes) = v.split_at_mut(t * t * v_tap);
+            for (si, s) in strips.enumerate() {
+                let (ni, ty) = strip_at(s);
+                for tx in 0..grid.tiles_w {
+                    // Column pass: `tile[r][dx]` from the pixels of column dx.
+                    for dx in 0..t {
+                        let mut src = [zero; 6];
+                        if let Some(ix) = inside(tx, dx, w) {
+                            for (dy, row) in src.iter_mut().enumerate().take(t) {
+                                if let Some(iy) = inside(ty, dy, h) {
+                                    *row = &planes[((ni * h + iy) * w + ix) * c_in..][..c_in];
+                                }
+                            }
+                        }
+                        let dst = &mut tile[dx * c_in..];
+                        simd::wino_bt_pass_with(variant, &src[..t], dst, t * c_in);
+                    }
+                    // Row pass, then each tap's channel lanes dealt into
+                    // the `K` groups of this tile's panel row.
+                    for r in 0..t {
+                        row_pass(tile, r, c_in, c_in, taps);
+                        for (c, lanes) in taps.chunks_exact(c_in).enumerate() {
+                            let (tap, slot) = (r * t + c, PanelSlot::CONTIGUOUS);
+                            let scale = self.scales[tap];
+                            T::quantize_into_panel(
+                                variant, codes, lanes, scale, lo, hi, self.flip, slot,
+                            );
+                            let panel = &mut panels[tap * v_tap..(tap + 1) * v_tap];
+                            self.layout
+                                .write_k_lanes(panel, si * grid.tiles_w + tx, codes);
+                        }
+                    }
+                }
+            }
+            return;
+        }
+
+        let (rows, rest) = lanes.split_at_mut(t * lens.row_len);
+        let (tile_lanes, taps) = rest.split_at_mut(t * t * lens.lane_stride);
+        // Left border, right border and tile padding stay zero: the column
+        // pass only ever rewrites the `w` pixels of each row.
+        rows.fill(0);
+        px[..w].fill(0);
+        let zero = &px[..w];
+        let at = TileLanes {
+            m,
+            tiles: grid.tiles_w,
+            row_len: lens.row_len,
+            stride: lens.lane_stride,
+        };
+        for ci in 0..c_in {
+            for (si, s) in strips.clone().enumerate() {
+                let (ni, ty) = strip_at(s);
+                let plane = &self.x[(ni * c_in + ci) * h * w..][..h * w];
+                // Column pass on the strip's `t` image rows as they lie
+                // (rows outside the image are zero), lanes over pixels...
+                let mut src = [zero; 6];
+                for (dy, row) in src.iter_mut().enumerate().take(t) {
+                    if let Some(iy) = inside(ty, dy, h) {
+                        *row = &plane[iy * w..][..w];
+                    }
+                }
+                simd::wino_bt_pass_with(variant, &src[..t], &mut rows[1..], lens.row_len);
+                // ...then the strip's tiles join the group's tile lanes.
+                let dst = &mut tile_lanes[si * grid.tiles_w..];
+                simd::wino_deinterleave_with(variant, rows, dst, at);
+            }
+            // Row pass over the whole group's lanes, each tap's row
+            // quantized where the tap GEMM reads channel `ci` of each tile.
+            let (k_group_at, slot) = self.layout.slot(c_in, ci);
+            for r in 0..t {
+                row_pass(tile_lanes, r, lens.lane_stride, ntiles, taps);
+                for (c, lanes) in taps.chunks_exact(ntiles).take(t).enumerate() {
+                    let tap = r * t + c;
+                    let panel = &mut v[tap * v_tap + k_group_at..(tap + 1) * v_tap];
+                    let scale = self.scales[tap];
+                    T::quantize_into_panel(variant, panel, lanes, scale, lo, hi, self.flip, slot);
+                }
+            }
+        }
+    }
+}
+
 impl IntWinogradConv {
     /// Prepares a layer for integer Winograd inference.
     ///
@@ -401,6 +600,20 @@ impl IntWinogradConv {
         let mats = WinogradMatrices::for_tile(cfg.tile);
         let t = mats.input_tile();
         let (c_out, c_in) = (weights.dims()[0], weights.dims()[1]);
+        // The transform engines are hand-factored forms of these matrices
+        // in `i16` lanes: another matrix must fail here, not wrap silently.
+        let bound = int_lane_bound(&mats);
+        assert!(
+            bound <= f32::from(i16::MAX),
+            "{}: |BT·d·B| up to {bound} overflows the i16 transform lanes",
+            cfg.tile
+        );
+        assert_eq!(
+            Some(mats.at.as_slice()),
+            simd::wino_output_matrix(t),
+            "{}: AT differs from the output transform engine's",
+            cfg.tile
+        );
 
         // Offline weight transformation + tap-wise quantization.
         let tt = t * t;
@@ -427,17 +640,6 @@ impl IntWinogradConv {
         } else {
             TapWeights::I16(TapPanels::pack(wq.as_slice(), c_out, c_in, tt))
         };
-        let mut int_mats = Box::new(IntTransforms {
-            bt: [0; INT_MAX_TT],
-            at: [0; INT_MAX_TT],
-        });
-        for (d, &v) in int_mats.bt.iter_mut().zip(mats.bt.as_slice()) {
-            *d = v as i32;
-        }
-        for (d, &v) in int_mats.at.iter_mut().zip(mats.at.as_slice()) {
-            *d = v as i32;
-        }
-
         // S_B in the integer-activation domain: the float calibration observed
         // Bᵀ·x_float·B = input_scale · Bᵀ·x_q·B, so divide by the input scale.
         let input_tap_scales = scales.input.scales().map(|s| {
@@ -462,7 +664,6 @@ impl IntWinogradConv {
             c_in,
             wq,
             taps,
-            int_mats,
             weight_scales: scales.weight.scales().clone(),
             input_tap_scales,
             input_scale: input_params.scale,
@@ -696,8 +897,7 @@ impl IntWinogradConv {
     }
 
     /// Strips per tap-major work item: the code panel (1 or 2 bytes per
-    /// code) plus the `i32` accumulator panel inside the scratch budget. The
-    /// scatter and the merge both group by this.
+    /// code) plus the `i32` accumulator panel inside the scratch budget.
     fn strip_group(&self, tiles_w: usize) -> usize {
         let t = self.mats.input_tile();
         let code_bytes = match self.taps {
@@ -710,7 +910,7 @@ impl IntWinogradConv {
 
     /// The parallel phase of the tap-major pipeline, dispatched on the code
     /// type the weights were packed in.
-    fn tap_major_strip_bufs<E: TapEmit>(&self, x: &Tensor<i8>, emit: &E) -> Vec<Vec<E::Out>> {
+    fn tap_major_strip_bufs<E: TapEmit>(&self, x: &Tensor<i8>, emit: &E) -> Vec<StripBuf<E::Out>> {
         match &self.taps {
             TapWeights::I8(panels) => self.strip_bufs_with(x, emit, panels),
             TapWeights::I16(panels) => self.strip_bufs_with(x, emit, panels),
@@ -727,7 +927,7 @@ impl IntWinogradConv {
         x: &Tensor<i8>,
         emit: &E,
         panels: &TapPanels<T>,
-    ) -> Vec<Vec<E::Out>> {
+    ) -> Vec<StripBuf<E::Out>> {
         assert_eq!(x.rank(), 4, "input must be NCHW");
         assert_eq!(x.dims()[1], self.c_in, "channel mismatch");
         let (n, h, w) = (x.dims()[0], x.dims()[2], x.dims()[3]);
@@ -737,11 +937,6 @@ impl IntWinogradConv {
         let tt = t * t;
         let grid = TileGrid::new(h, w, m, 1);
 
-        let (bt, at) = (&self.int_mats.bt, &self.int_mats.at);
-        let (wino_lo, wino_hi) = (
-            self.cfg.wino_bits.min_value(),
-            self.cfg.wino_bits.max_value(),
-        );
         // Per-tap rescale S_BG, hoisted with the exact expression of the
         // per-tile path so the epilogue stays bit-identical.
         let mut sbg = [0.0_f32; INT_MAX_TT];
@@ -757,7 +952,8 @@ impl IntWinogradConv {
         // tiles]`). Channel-laned (thin layers): M'[tap] = V'[tap] · W'[tap]
         // (`[tiles × C_in] · [C_in × C_out]`), so the handful of tiles are the
         // GEMM's rows and `c_out` fills the vector lanes a 4-tile call would
-        // leave empty. Integer sums are exact, so both give the same bits.
+        // leave empty — in both transforms as well, which lane over channels
+        // too. Integer sums are exact, so both give the same bits.
         let lane_channels = self.lanes_channels(n, h, w);
         let weights: &[PackedWeights<T>] = if lane_channels {
             panels
@@ -768,8 +964,18 @@ impl IntWinogradConv {
         };
         // Where the codes of one tap go: its GEMM activation panel, in the
         // kernel's own layout (sign-flipped to u8 if the kernel wants that).
-        let act_layout = weights[0].act_layout();
-        let act_flip = weights[0].act_flip();
+        let bits = self.cfg.wino_bits;
+        let input = InputStage {
+            variant: simd::active(),
+            x: x.as_slice(),
+            dims: [n, c_in, h, w],
+            m,
+            lane_channels,
+            layout: weights[0].act_layout(),
+            flip: weights[0].act_flip(),
+            scales: self.input_tap_scales.as_slice(),
+            clamp: (bits.min_value(), bits.max_value()),
+        };
 
         let strips = n * grid.tiles_h;
         let ranges = split_ranges(strips, self.strip_group(grid.tiles_w));
@@ -786,179 +992,76 @@ impl IntWinogradConv {
                 let probe = self.probe.as_deref();
                 let v_tap = weights[0].act_elems(ntiles);
                 let m_tap = c_out * ntiles;
-                // Channel-laned groups need a second M panel: the GEMM
-                // writes `[tile][co]` rows which are then transposed into the
-                // SoA `[co][tile]` layout the back-transform consumes.
-                let m_len = if lane_channels {
-                    2 * tt * m_tap
-                } else {
-                    tt * m_tap
-                };
-                let p = scr.int_panels::<T, E::Out>(tt * v_tap, m_len, tt * ntiles, m * m * ntiles);
-                let (v, da, db, ea, eb, stage) = (p.v, p.da, p.db, p.ea, p.eb, p.stage);
-                let x_s = x.as_slice();
+                let ea_len = m * m * ntiles;
+                let p = scr.int_panels::<T, E::Out>(
+                    input.panel_elems(ntiles),
+                    tt * m_tap,
+                    input.staging(ntiles),
+                    if lane_channels {
+                        c_out * ea_len
+                    } else {
+                        ea_len
+                    },
+                    ea_len,
+                );
+                let (v, mm, ea, stage) = (p.v, p.m, p.ea, p.stage);
 
-                // --- gather: integer transform (SoA over tile lanes) +
-                //     tap-wise requantization into the tap's GEMM panel ---
+                // --- gather + integer transform + tap-wise requantization,
+                //     fused: NCHW rows in, GEMM panels out ---
                 let input_sp = kernel_block_span(&INPUT_STAGE_SYM, "wino_input_stage", probe);
-                for ci in 0..c_in {
-                    // Extract this channel's tiles into SoA lanes with zero
-                    // padding: da[(dy·t + dx)·ntiles + tile].
-                    da.fill(0);
-                    for (si, s) in range.clone().enumerate() {
-                        let ni = s / grid.tiles_h;
-                        let ty = s % grid.tiles_h;
-                        let y0 = (ty * m) as isize - 1;
-                        let plane = (ni * c_in + ci) * h * w;
-                        for dy in 0..t {
-                            let iy = y0 + dy as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            let row = plane + iy as usize * w;
-                            for tx in 0..grid.tiles_w {
-                                let tile_idx = si * grid.tiles_w + tx;
-                                let x0 = (tx * m) as isize - 1;
-                                for dx in 0..t {
-                                    let ix = x0 + dx as isize;
-                                    if ix >= 0 && ix < w as isize {
-                                        da[(dy * t + dx) * ntiles + tile_idx] =
-                                            i32::from(x_s[row + ix as usize]);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    clock.lap(Phase::Gather);
-                    // Stage 1: db[r][c] = Σ_k Bᵀ[r,k] · da[k][c]. `i32` is
-                    // exact: |d| < 2¹⁵ and the F2/F4 Bᵀ entries are tiny;
-                    // the SIMD lanes are exact too, so every kernel variant
-                    // produces the same codes.
-                    for r in 0..t {
-                        for c in 0..t {
-                            let dst = &mut db[(r * t + c) * ntiles..(r * t + c + 1) * ntiles];
-                            dst.fill(0);
-                            for k in 0..t {
-                                let coeff = bt[r * t + k];
-                                if coeff != 0 {
-                                    let src = &da[(k * t + c) * ntiles..(k * t + c + 1) * ntiles];
-                                    simd::axpy_i32(dst, coeff, src);
-                                }
-                            }
-                        }
-                    }
-                    // Stage 2 + requantization: the tap's code row, written
-                    // where the tap GEMM reads channel `ci` of each tile.
-                    let (k_group_at, slot) = act_layout.slot(c_in, ci);
-                    for r in 0..t {
-                        for c in 0..t {
-                            let tap = r * t + c;
-                            let dst = &mut da[tap * ntiles..(tap + 1) * ntiles];
-                            dst.fill(0);
-                            for k in 0..t {
-                                let coeff = bt[c * t + k];
-                                if coeff != 0 {
-                                    let src = &db[(r * t + k) * ntiles..(r * t + k + 1) * ntiles];
-                                    simd::axpy_i32(dst, coeff, src);
-                                }
-                            }
-                            T::quantize_into_panel(
-                                &mut v[tap * v_tap + k_group_at..(tap + 1) * v_tap],
-                                dst,
-                                self.input_tap_scales.at2(r, c),
-                                wino_lo,
-                                wino_hi,
-                                act_flip,
-                                slot,
-                            );
-                        }
-                    }
-                    clock.lap(Phase::InputTransform);
-                }
+                input.run(range.clone(), v, p.lanes, p.px);
+                clock.lap(Phase::InputTransform);
                 drop(input_sp);
 
                 // --- one integer GEMM per tap (the batched MatMul), the
                 //     accumulator tiles stored straight into M ---
                 let gemm_sp = kernel_block_span(&TAP_GEMM_SYM, "wino_tap_gemm", probe);
-                let (gout, soa) = p.m.split_at_mut(tt * m_tap);
                 for (tap, wt) in weights.iter().enumerate() {
                     gemm_packed_i32_into(
-                        &mut gout[tap * m_tap..(tap + 1) * m_tap],
+                        &mut mm[tap * m_tap..(tap + 1) * m_tap],
                         wt,
                         &v[tap * v_tap..(tap + 1) * v_tap],
                         ntiles,
                     );
                 }
-                let mm: &[i32] = if lane_channels {
-                    for (src, dst) in gout.chunks_exact(m_tap).zip(soa.chunks_exact_mut(m_tap)) {
-                        for (tile, row) in src.chunks_exact(c_out).enumerate() {
-                            for (co, &acc) in row.iter().enumerate() {
-                                dst[co * ntiles + tile] = acc;
-                            }
-                        }
-                    }
-                    soa
-                } else {
-                    gout
-                };
                 clock.lap(Phase::TapGemm);
                 drop(gemm_sp);
 
-                // --- per-tap rescale, back-transformation (SoA), epilogue ---
+                // --- per-tap rescale + back-transformation (one register
+                //     block per lane vector), epilogue ---
                 let output_sp = kernel_block_span(&OUTPUT_STAGE_SYM, "wino_output_stage", probe);
-                for co in 0..c_out {
-                    // ea[tap] = M[tap][co] · S_BG[tap] (float, per lane).
-                    // `scale_i32_f32` converts and multiplies with the same
-                    // rounding as the scalar expression on every variant, so
-                    // the bit-identity with the per-tile path is preserved.
-                    for tap in 0..tt {
-                        let src = &mm[(tap * c_out + co) * ntiles..(tap * c_out + co + 1) * ntiles];
-                        let dst = &mut ea[tap * ntiles..(tap + 1) * ntiles];
-                        simd::scale_i32_f32(dst, src, sbg[tap]);
-                    }
-                    // Stage 1: eb[r][c] = Σ_k Aᵀ[r,k] · ea[k·t+c], r < m.
-                    // The unfused axpy keeps the multiply and add rounded
-                    // separately, exactly like the per-tile reference — an
-                    // FMA here would break the pinned bit-identity.
-                    for r in 0..m {
-                        for c in 0..t {
-                            let dst = &mut eb[(r * t + c) * ntiles..(r * t + c + 1) * ntiles];
-                            dst.fill(0.0);
-                            for k in 0..t {
-                                let coeff = at[r * t + k];
-                                if coeff != 0 {
-                                    let src = &ea[(k * t + c) * ntiles..(k * t + c + 1) * ntiles];
-                                    simd::axpy_f32_unfused(dst, coeff as f32, src);
-                                }
-                            }
-                        }
-                    }
-                    // Stage 2: ea[r·m+c] = Σ_k eb[r·t+k] · Aᵀ[c,k].
-                    for r in 0..m {
-                        for c in 0..m {
-                            let dst = &mut ea[(r * m + c) * ntiles..(r * m + c + 1) * ntiles];
-                            dst.fill(0.0);
-                            for k in 0..t {
-                                let coeff = at[c * t + k];
-                                if coeff != 0 {
-                                    let src = &eb[(r * t + k) * ntiles..(r * t + k + 1) * ntiles];
-                                    simd::axpy_f32_unfused(dst, coeff as f32, src);
-                                }
-                            }
-                        }
+                let lanes = OutputLanes {
+                    t,
+                    n: if lane_channels { c_out } else { ntiles },
+                    tap_stride: m_tap,
+                    lane_stride: if lane_channels { ea_len } else { 1 },
+                    rc_stride: ntiles,
+                };
+                if lane_channels {
+                    // The GEMM left `M'[tap][tile][co]`: lane each tile's
+                    // rows over `co` as they lie, landing every channel's
+                    // `[m²][tile]` block where the tile-laned loop builds it.
+                    for tile in 0..ntiles {
+                        let (acc, dst) = (&mm[tile * c_out..], &mut ea[tile..]);
+                        simd::wino_output_stage_with(input.variant, acc, &sbg, dst, lanes);
                     }
                     clock.lap(Phase::OutputTransform);
-                    // Vectorized requantization over contiguous tile lanes
-                    // (the expensive part of the epilogue), then the cheap
-                    // strided scatter; `finish` sees the global NCHW index
-                    // so a fused residual can be read before the store.
-                    for rc in 0..m * m {
-                        emit.stage(
-                            co,
-                            &mut stage[rc * ntiles..(rc + 1) * ntiles],
-                            &ea[rc * ntiles..(rc + 1) * ntiles],
-                        );
-                    }
+                }
+                for co in 0..c_out {
+                    let ea = if lane_channels {
+                        &ea[co * ea_len..(co + 1) * ea_len]
+                    } else {
+                        let acc = &mm[co * ntiles..];
+                        simd::wino_output_stage_with(input.variant, acc, &sbg, ea, lanes);
+                        clock.lap(Phase::OutputTransform);
+                        &ea[..ea_len]
+                    };
+                    // Vectorized requantization over the channel's
+                    // contiguous lanes (the expensive part of the epilogue),
+                    // then the cheap strided scatter; `finish` sees the
+                    // global NCHW index so a fused residual can be read
+                    // before the store.
+                    emit.stage(co, stage, ea);
                     let mut strip_off = 0usize;
                     for (si, s) in range.clone().enumerate() {
                         let ni = s / grid.tiles_h;
@@ -987,7 +1090,7 @@ impl IntWinogradConv {
                     clock.flush(p);
                 }
             });
-            buf
+            (range, buf)
         })
     }
 
@@ -995,17 +1098,14 @@ impl IntWinogradConv {
     /// may be a fresh tensor or (for in-place residual accumulation) the
     /// residual operand itself — every element is overwritten, and the
     /// scatter phase has already read everything it needed.
-    fn tap_major_merge<O: Element>(&self, bufs: &[Vec<O>], y: &mut Tensor<O>) {
+    fn tap_major_merge<O: Element>(&self, bufs: &[StripBuf<O>], y: &mut Tensor<O>) {
         let merge_sp = kernel_block_span(&MERGE_SYM, "wino_merge", self.probe.as_deref());
         let mut merge_clock = PhaseClock::start();
-        let (n, h, w) = (y.dims()[0], y.dims()[2], y.dims()[3]);
+        let (h, w) = (y.dims()[2], y.dims()[3]);
         let m = self.mats.output_tile();
         let grid = TileGrid::new(h, w, m, 1);
-        let strips = n * grid.tiles_h;
-        let ranges = split_ranges(strips, self.strip_group(grid.tiles_w));
-        debug_assert_eq!(ranges.len(), bufs.len(), "strip grouping drifted");
         let y_s = y.as_mut_slice();
-        for (range, buf) in ranges.iter().zip(bufs.iter()) {
+        for (range, buf) in bufs {
             let mut off = 0usize;
             for s in range.clone() {
                 let ni = s / grid.tiles_h;
@@ -1065,8 +1165,9 @@ impl IntWinogradConv {
         // Tile rows of distinct (batch, ty) pairs produce disjoint output rows;
         // process them in parallel into private strip buffers, then merge.
         let strips = n * grid.tiles_h;
-        let bt_ref = &self.int_mats.bt;
-        let at_ref = &self.int_mats.at;
+        // `Bᵀ` and `Aᵀ` as the integers they are (exact for F2/F4).
+        let ints = |m: &Tensor<f32>| m.as_slice().iter().map(|&v| v as i32).collect::<Vec<_>>();
+        let (bt_ref, at_ref) = (&ints(&self.mats.bt), &ints(&self.mats.at));
         let strip_bufs = parallel_map(strips, |s| {
             let ni = s / grid.tiles_h;
             let ty = s % grid.tiles_h;
@@ -1402,6 +1503,20 @@ mod tests {
         let scales = TapwiseScales::calibrate(&w, &x, &mats, cfg.wino_bits, cfg.mode);
         let p = QuantParams::from_max(1.0, QuantBits::int8());
         let _ = IntWinogradConv::prepare(&w, &scales, p, 1.0, cfg);
+    }
+
+    #[test]
+    fn transform_lane_bound_comes_from_the_matrices() {
+        let f4 = WinogradMatrices::for_tile(TileSize::F4);
+        assert_eq!(
+            int_lane_bound(&WinogradMatrices::for_tile(TileSize::F2)),
+            512.0
+        );
+        assert_eq!(int_lane_bound(&f4), 12_800.0);
+        // The same transform scaled by two no longer fits the `i16` lanes.
+        let mut scaled = f4;
+        scaled.bt = scaled.bt.map(|v| 2.0 * v);
+        assert!(int_lane_bound(&scaled) > f32::from(i16::MAX));
     }
 
     #[test]

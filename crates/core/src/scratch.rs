@@ -22,6 +22,7 @@
 //! move of bytes from a dequantize pass into the kernel, not an addition).
 
 use std::cell::RefCell;
+use wino_tensor::simd::DEINTERLEAVE_LANES;
 
 /// Soft cap on the bytes of tap-major scratch (`V` plus `M`) per strip group,
 /// chosen so both panels stay cache-resident while the per-tap GEMMs sweep
@@ -102,20 +103,74 @@ impl Parked<StageLanes> for f32 {
 /// The integer-path buffers of one strip group, see
 /// [`TapScratch::int_panels`].
 pub(crate) struct IntPanels<'a, T, O> {
-    /// Requantized-code panel, `t²` per-tap GEMM activation panels.
+    /// Requantized-code panel, `t²` per-tap GEMM activation panels (plus one
+    /// contiguous code row on channel-laned layers).
     pub v: &'a mut [T],
-    /// Per-tap `i32` accumulator panel `M[tap][c_out][tile]`.
+    /// Per-tap `i32` accumulator panel, `M[tap][c_out][tile]` or (channel
+    /// lanes) `M[tap][tile][c_out]`.
     pub m: &'a mut [i32],
-    /// Integer transform staging, SoA over tiles (`[t² rows][tile lanes]`).
-    pub da: &'a mut [i32],
-    /// Second integer staging buffer.
-    pub db: &'a mut [i32],
-    /// Float staging of the rescale + back-transformation.
+    /// The input stage's `i16` lanes, carved up by [`IntStageLens`].
+    pub lanes: &'a mut [i16],
+    /// The input stage's int8 staging: a zero row, and the `[pixel][c_in]`
+    /// planes of a channel-laned layer.
+    pub px: &'a mut [i8],
+    /// Back-transformed outputs, `[m² rows][tile lanes]` of one output
+    /// channel (tile lanes) or of every output channel (channel lanes).
     pub ea: &'a mut [f32],
-    /// Second float staging buffer.
-    pub eb: &'a mut [f32],
     /// Staged emit lanes (`[m² rows][tile lanes]`).
     pub stage: &'a mut [O],
+}
+
+/// Element counts of the integer input stage's staging buffers for one strip
+/// group — the one place both the forward pass and [`tap_scratch_bytes`] size
+/// them from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct IntStageLens {
+    /// Tile-laned: elements per transformed image row, the one-pixel left
+    /// border, the pixels and zero padding out to one tile step past the
+    /// last [`DEINTERLEAVE_LANES`] block.
+    pub row_len: usize,
+    /// Elements between consecutive lane rows: the group's tiles plus the
+    /// deinterleave's slack (tile lanes), or `c_in` (channel lanes).
+    pub lane_stride: usize,
+    /// Total `i16` lanes: the `t` transformed rows (tile-laned only), the
+    /// `t²` lane rows between the two passes and the `t` rows the row pass
+    /// hands the quantizer.
+    pub lanes: usize,
+    /// int8 staging: the zero row, plus the transposed planes (channel lanes).
+    pub px: usize,
+}
+
+impl IntStageLens {
+    /// `pixels` is the whole input's `n · h · w` (transposed per group on
+    /// channel-laned layers, whose few tiles make that the group itself).
+    pub fn new(
+        lane_channels: bool,
+        t: usize,
+        c_in: usize,
+        pixels: usize,
+        w: usize,
+        ntiles: usize,
+    ) -> Self {
+        let m = t - 2;
+        if lane_channels {
+            Self {
+                row_len: 0,
+                lane_stride: c_in,
+                lanes: (t * t + t) * c_in,
+                px: (1 + pixels) * c_in,
+            }
+        } else {
+            let row_len = (w.div_ceil(m).next_multiple_of(DEINTERLEAVE_LANES) + 1) * m;
+            let lane_stride = ntiles + DEINTERLEAVE_LANES;
+            Self {
+                row_len,
+                lane_stride,
+                lanes: t * row_len + t * t * lane_stride + t * ntiles,
+                px: w,
+            }
+        }
+    }
 }
 
 /// The reusable tap-major buffers of one thread.
@@ -133,10 +188,10 @@ pub(crate) struct TapScratch {
     v_i: CodePanels,
     /// Integer per-tap accumulator panel `M[tap][c_out][tile]`.
     m_i: Vec<i32>,
-    /// Integer transform staging, SoA over tiles.
-    aux_a_i: Vec<i32>,
-    /// Second integer staging buffer.
-    aux_b_i: Vec<i32>,
+    /// The integer input stage's `i16` lanes.
+    lanes_i: Vec<i16>,
+    /// The integer input stage's int8 staging.
+    px_i: Vec<i8>,
     /// Integer-path staged emit lanes.
     stage: StageLanes,
 }
@@ -161,22 +216,23 @@ impl TapScratch {
 
     /// The integer-path buffers, grown (never shrunk) to the requested
     /// element counts: the code panel of type `T`, the `i32` accumulator
-    /// panel, two integer and two float SoA staging buffers (each `aux_len`)
-    /// and the staged emit lanes of type `O`.
+    /// panel, the input staging `stages` sizes (its `i16` lanes start on a
+    /// cache line, which keeps every transformed row on its tile-step
+    /// alignment), the `f32` outputs and the staged emit lanes of type `O`.
     pub fn int_panels<T: Parked<CodePanels>, O: Parked<StageLanes>>(
         &mut self,
         v_len: usize,
         m_len: usize,
-        aux_len: usize,
+        stages: IntStageLens,
+        ea_len: usize,
         stage_len: usize,
     ) -> IntPanels<'_, T, O> {
         IntPanels {
             v: grown_aligned(T::parked(&mut self.v_i), v_len),
             m: grown(&mut self.m_i, m_len),
-            da: grown(&mut self.aux_a_i, aux_len),
-            db: grown(&mut self.aux_b_i, aux_len),
-            ea: grown(&mut self.aux_a_f, aux_len),
-            eb: grown(&mut self.aux_b_f, aux_len),
+            lanes: grown_aligned(&mut self.lanes_i, stages.lanes),
+            px: grown(&mut self.px_i, stages.px),
+            ea: grown(&mut self.aux_a_f, ea_len),
             stage: grown(O::parked(&mut self.stage), stage_len),
         }
     }
@@ -217,20 +273,22 @@ pub(crate) const F32_BYTES: usize = std::mem::size_of::<f32>();
 /// The peak tap-major scratch bytes a forward pass of the given geometry uses
 /// per worker thread, whichever of the float pipeline and the integer
 /// pipeline at 8 or at 9–16 Winograd-domain bits is largest (the prepared
-/// graph does not say which will run). Thin layers that run the
-/// channel-laned formulation (single-image tiles below
-/// `MIN_TAP_MAJOR_TILES`, `c_out` at least `CHANNEL_LANE_MIN_COUT`) double
-/// the `M` panel — the GEMM's `[tile][co]` product and its SoA transpose
-/// coexist.
+/// graph does not say which will run).
 ///
 /// * Float: `V` + `M` panels plus the thread-parked packed GEMM `B` panel
-///   (whose `N` dimension is `c_out` when channel-laned).
+///   (whose `N` dimension is `c_out` when channel-laned). Thin layers that
+///   run the channel-laned formulation (single-image tiles below
+///   `MIN_TAP_MAJOR_TILES`, `c_out` at least `CHANNEL_LANE_MIN_COUT`) double
+///   the float `M` panel — the GEMM's `[tile][co]` product and its SoA
+///   transpose coexist.
 /// * Integer: the code panel **is** the GEMM's activation operand, already in
 ///   the active kernel variant's `K`-grouped panel layout (`i8`/`u8` at ≤ 8
 ///   bits, `i16` above; sized through [`wino_tensor::PanelLayout`], padding
 ///   included) — the weights are packed once at prepare and nothing is
-///   packed per call — plus the `i32` `M` panel, the SoA staging rows and
-///   the staged emit lanes.
+///   packed per call — plus one `i32` `M` panel (read where the GEMM left it
+///   on channel-laned layers too), the input stage's `i16` lanes and int8
+///   rows ([`IntStageLens`]), the `f32` output block of one output channel
+///   (of every one when channel-laned) and the staged emit lanes.
 ///
 /// This is what `PreparedGraph::scratch_bytes` reports so deployments can
 /// size memory for the executor beyond the activation arena.
@@ -244,12 +302,12 @@ pub fn tap_scratch_bytes(c_in: usize, c_out: usize, tile_t: usize, h: usize, w: 
     // Mirrors the winograd modules' thin-layer predicate at batch 1 (larger
     // batches only lower the footprint back to the tile-laned shape).
     let lane_channels = crate::winograd::thin_layer_lanes_channels(tiles_h * tiles_w, c_out);
-    let m_panels = if lane_channels { 2 * c_out } else { c_out };
     let group_tiles = |v_elem: usize, m_elem: usize| {
         strip_group_len(tiles_w, c_in, c_out, tt, v_elem, m_elem).min(tiles_h) * tiles_w
     };
 
     let ntiles = group_tiles(F32_BYTES, F32_BYTES);
+    let m_panels = if lane_channels { 2 * c_out } else { c_out };
     let gemm_n = if lane_channels { c_out } else { ntiles };
     let gemm_m = if lane_channels { ntiles } else { c_out };
     let b_panel = wino_tensor::gemm_f32_b_panel_elems(variant, gemm_m, c_in, gemm_n);
@@ -258,10 +316,14 @@ pub fn tap_scratch_bytes(c_in: usize, c_out: usize, tile_t: usize, h: usize, w: 
     let int_bytes = |code_bytes: usize, (a_layout, b_layout): (_, wino_tensor::PanelLayout)| {
         let ntiles = group_tiles(code_bytes, std::mem::size_of::<i32>());
         let act_layout = if lane_channels { a_layout } else { b_layout };
-        tt * act_layout.elems(c_in, ntiles) * code_bytes
-            + m_panels * tt * ntiles * std::mem::size_of::<i32>()
-            + 2 * tt * ntiles * (std::mem::size_of::<i32>() + F32_BYTES)
-            + m * m * ntiles * F32_BYTES
+        let code_row = if lane_channels { c_in } else { 0 };
+        let stages = IntStageLens::new(lane_channels, tile_t, c_in, h * w, w, ntiles);
+        let out_blocks = if lane_channels { c_out + 1 } else { 2 };
+        (tt * act_layout.elems(c_in, ntiles) + code_row) * code_bytes
+            + c_out * tt * ntiles * std::mem::size_of::<i32>()
+            + stages.lanes * std::mem::size_of::<i16>()
+            + stages.px
+            + out_blocks * m * m * ntiles * F32_BYTES
     };
     float_bytes
         .max(int_bytes(1, i8::layouts(variant)))
@@ -316,11 +378,23 @@ mod tests {
         let (v, _, _, _) = s.float_panels(8, 4, 2);
         assert_eq!(v.len(), 8);
         assert_eq!(s.v_f.capacity(), cap, "shrink must not reallocate");
-        let p = s.int_panels::<i8, f32>(10, 10, 6, 3);
+        // ResNet-34 layer1 (56×56, 64→64, F4), a 13-strip group: six
+        // transformed rows out to the 17th tile step, 36 lane rows with the
+        // deinterleave's slack, six quantizer rows.
+        let stages = IntStageLens::new(false, 6, 64, 56 * 56, 56, 182);
+        assert_eq!((stages.row_len, stages.lane_stride), (68, 198));
+        assert_eq!(stages.lanes, 6 * 68 + 36 * 198 + 6 * 182);
+        assert_eq!(stages.px, 56);
+        let p = s.int_panels::<i8, f32>(10, 10, stages, 7, 3);
+        assert_eq!((p.v.len(), p.m.len(), p.stage.len()), (10, 10, 3));
         assert_eq!(
-            (p.v.len(), p.m.len(), p.da.len(), p.db.len()),
-            (10, 10, 6, 6)
+            (p.lanes.len(), p.px.len(), p.ea.len()),
+            (stages.lanes, stages.px, 7)
         );
-        assert_eq!((p.ea.len(), p.eb.len(), p.stage.len()), (6, 6, 3));
+        assert_eq!(p.lanes.as_ptr() as usize % 8, 0, "rows off the tile step");
+        // The 512×512×7 layer lanes over channels: 4 tiles, 49 pixels.
+        let thin = IntStageLens::new(true, 6, 512, 49, 7, 4);
+        assert_eq!((thin.lane_stride, thin.lanes), (512, 42 * 512));
+        assert_eq!(thin.px, 50 * 512);
     }
 }

@@ -782,6 +782,38 @@ impl PanelLayout {
             },
         )
     }
+
+    /// Writes `codes[kk]` to element `(kk, j)` for every `kk` — the whole
+    /// `K` extent of free index `j`, a producer laned over `K` (the
+    /// channel-laned Winograd input transform) hands over at once. Each `K`
+    /// group is one `group`-element copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `panel` is shorter than [`PanelLayout::elems`] needs.
+    pub fn write_k_lanes<T: Copy>(self, panel: &mut [T], j: usize, codes: &[T]) {
+        fn groups<T: Copy, const G: usize>(dst: &mut [T], every: usize, codes: &[T]) {
+            let whole = codes.chunks_exact(G);
+            let tail = whole.remainder();
+            for (d, s) in dst.chunks_mut(every).zip(whole) {
+                d[..G].copy_from_slice(s);
+            }
+            if !tail.is_empty() {
+                let last = (codes.len() / G) * every;
+                dst[last..last + tail.len()].copy_from_slice(tail);
+            }
+        }
+        let k = codes.len();
+        let every = self.width * self.group;
+        let from = (j / self.width) * self.k_groups(k) * every + (j % self.width) * self.group;
+        let dst = &mut panel[from..];
+        match self.group {
+            1 => groups::<T, 1>(dst, every, codes),
+            2 => groups::<T, 2>(dst, every, codes),
+            4 => groups::<T, 4>(dst, every, codes),
+            g => unreachable!("no kernel interleaves {g} K steps"),
+        }
+    }
 }
 
 mod sealed {
@@ -834,13 +866,15 @@ pub trait PackedCode: sealed::Sealed + Copy + Default + Send + Sync + 'static {
     fn to_i32(self) -> i32;
 
     /// `dst[slot.offset(j)] = quantize(src[j])` for every `j`: the tap-wise
-    /// requantization of [`simd::quantize_i32_i16`] (same expression, same
-    /// bits), narrowed to this code type, optionally sign-flipped, and
-    /// written straight into a GEMM panel.
+    /// requantization of [`simd::quantize_i16_i16_panel_with`] (same
+    /// expression, same bits), narrowed to this code type, optionally
+    /// sign-flipped, and written straight into a GEMM panel by `variant`'s
+    /// quantizer.
     #[allow(clippy::too_many_arguments)]
     fn quantize_into_panel(
+        variant: KernelVariant,
         dst: &mut [Self],
-        src: &[i32],
+        src: &[i16],
         scale: f32,
         lo: i32,
         hi: i32,
@@ -871,15 +905,16 @@ impl PackedCode for i8 {
     }
 
     fn quantize_into_panel(
+        variant: KernelVariant,
         dst: &mut [i8],
-        src: &[i32],
+        src: &[i16],
         scale: f32,
         lo: i32,
         hi: i32,
         flip: bool,
         slot: PanelSlot,
     ) {
-        simd::quantize_i32_i8_panel(dst, src, scale, lo, hi, flip, slot);
+        simd::quantize_i16_i8_panel_with(variant, dst, src, scale, lo, hi, flip, slot);
     }
 }
 
@@ -979,15 +1014,16 @@ impl PackedCode for i16 {
     }
 
     fn quantize_into_panel(
+        variant: KernelVariant,
         dst: &mut [i16],
-        src: &[i32],
+        src: &[i16],
         scale: f32,
         lo: i32,
         hi: i32,
         flip: bool,
         slot: PanelSlot,
     ) {
-        simd::quantize_i32_i16_panel(dst, src, scale, lo, hi, flip, slot);
+        simd::quantize_i16_i16_panel_with(variant, dst, src, scale, lo, hi, flip, slot);
     }
 }
 
@@ -1857,6 +1893,28 @@ mod tests {
             }
         }
         c
+    }
+
+    #[test]
+    fn write_k_lanes_lands_every_code_on_its_panel_index() {
+        for group in [1, 2, 4] {
+            for width in [8, 16] {
+                let layout = PanelLayout { group, width };
+                for k in [1usize, 3, 4, 7, 8, 9, 33] {
+                    let free = width + 3;
+                    let mut got = vec![-1_i16; layout.elems(k, free)];
+                    let mut want = got.clone();
+                    for j in 0..free {
+                        let codes: Vec<i16> = (0..k).map(|kk| (j * 100 + kk) as i16).collect();
+                        layout.write_k_lanes(&mut got, j, &codes);
+                        for (kk, &code) in codes.iter().enumerate() {
+                            want[layout.index(k, kk, j)] = code;
+                        }
+                    }
+                    assert_eq!(got, want, "group {group} width {width} k {k}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Runtime SIMD kernel dispatch.
 //!
-//! The GEMM microkernels ([`crate::gemm`]), the SoA transform primitives and
+//! The GEMM microkernels ([`crate::gemm`]), the Winograd transform engines and
 //! the quantize/requant primitives below exist in several instruction-set
 //! variants: a portable scalar fallback, x86-64 AVX2/FMA, AVX-512F/BW and
 //! AVX-512 VNNI, and aarch64 NEON with an optional `dotprod` (SDOT) tier.
@@ -23,19 +23,30 @@
 //!
 //! # Quantize/requant primitives
 //!
-//! [`quantize_f32_i8`], [`quantize_i32_i8_panel`] / [`quantize_i32_i16_panel`]
-//! and [`requant_f32`] vectorize the integer Winograd pipeline's
-//! scale+round+clamp steps (input quantization, tap-wise requantization, and
-//! the requant/dequant epilogue). The tap-wise requantization writes its
-//! codes **directly in the `K`-grouped panel layout the integer GEMM
+//! [`quantize_f32_i8`], [`quantize_i16_i8_panel_with`] /
+//! [`quantize_i16_i16_panel_with`] and [`requant_f32`] vectorize the integer
+//! Winograd pipeline's scale+round+clamp steps (input quantization, tap-wise
+//! requantization, and the requant/dequant epilogue). The tap-wise
+//! requantization reads the `i16` lanes of the transform engines and writes
+//! its codes **directly in the `K`-grouped panel layout the integer GEMM
 //! microkernel reads** ([`PanelSlot`]), so no pack pass runs between the
-//! input transform and the tap GEMMs; [`quantize_i32_i16`] is its contiguous
-//! special case.
+//! input transform and the tap GEMMs.
 //! They are **bit-identical across variants for finite inputs**: every
-//! variant divides (IEEE-exact), rounds half-to-even (`cvtps`/`vcvtnq`
-//! hardware rounding = `f32::round_ties_even`) and clamps in the float
-//! domain before the integer conversion, in the same order as the scalar
-//! reference expression.
+//! variant divides (IEEE-exact; a power-of-two scale is multiplied by its
+//! exact reciprocal instead, the same bits for less latency), rounds
+//! half-to-even (`cvtps`/`vcvtnq` hardware rounding =
+//! `f32::round_ties_even`) and clamps in the float domain before the integer
+//! conversion, in the same order as the scalar reference expression.
+//!
+//! # Winograd transform engines
+//!
+//! The integer pipeline's transforms — [`wino_bt_pass_with`] (the
+//! hand-factored `Bᵀ·d` over `i16` lane rows), [`wino_deinterleave_with`]
+//! (transformed rows to tile lanes) and [`wino_output_stage_with`] (`S_BG`
+//! and both `Aᵀ` stages in registers) — are each **one generic body** over
+//! fixed-size lane blocks, compiled once per ISA under a `#[target_feature]`
+//! wrapper instead of hand-copied per variant, and bit-identical across
+//! variants (exact integers; floats in the scalar reference's order, no FMA).
 //!
 //! # Adding an ISA variant
 //!
@@ -44,9 +55,10 @@
 //!    target architecture).
 //! 2. Rank it in [`KernelVariant::ALL`] (detection order, worst first).
 //! 3. Provide microkernels in `gemm.rs` and dispatch arms in the
-//!    `gemm_*_into_with` functions, plus SoA and quantize arms in this
-//!    module's dispatch (a variant may reuse a weaker tier's
-//!    implementations — `avx512vnni` shares the AVX-512 SoA bodies).
+//!    `gemm_*_into_with` functions, plus SoA, quantize and (one
+//!    `engine_instances!` line) transform-engine arms in this module's
+//!    dispatch (a variant may reuse a weaker tier's implementations —
+//!    `avx512vnni` shares the AVX-512 SoA bodies).
 //! 4. The randomized equivalence suite (`tests/simd_kernels.rs`) picks the
 //!    new variant up automatically through [`available`].
 
@@ -202,90 +214,96 @@ pub fn active() -> KernelVariant {
 }
 
 // ---------------------------------------------------------------------------
-// SoA transform primitives.
+// SoA, transform-engine and quantize primitives.
 //
-// The batched Winograd congruence transforms operate on contiguous tile
-// lanes (`dst[lane] ⊕= coeff · src[lane]`); these are their dispatched inner
-// steps. Each is a safe wrapper around a per-variant implementation chosen
-// through one cached function pointer, so the per-call overhead is a single
-// indirect call over hundreds of lanes.
+// The batched Winograd transforms operate on contiguous lanes; these are
+// their dispatched inner steps. Each is a safe wrapper around a per-variant
+// implementation chosen through one function pointer, so the per-call
+// overhead is a single indirect call over hundreds of lanes.
 // ---------------------------------------------------------------------------
 
-/// `(dst, src, scale, lo, hi, flip, slot)` — see [`quantize_i32_i8_panel`].
-type PanelQuantize<E> = fn(&mut [E], &[i32], f32, i32, i32, bool, PanelSlot);
+/// `(dst, src, scale, lo, hi, flip, slot)` — see [`quantize_i16_i8_panel_with`].
+type PanelQuantize<E> = fn(&mut [E], &[i16], f32, i32, i32, bool, PanelSlot);
 
-/// The resolved SoA primitive implementations of the active variant.
+/// `(src rows, dst, dst row stride)` — see [`wino_bt_pass_with`].
+type BtPass<I> = fn(&[&[I]], &mut [i16], usize);
+
+/// The resolved primitive implementations of one variant.
 struct SoaOps {
     axpy_f32: fn(&mut [f32], f32, &[f32]),
-    axpy_f32_unfused: fn(&mut [f32], f32, &[f32]),
-    axpy_i32: fn(&mut [i32], i32, &[i32]),
-    scale_i32_f32: fn(&mut [f32], &[i32], f32),
+    bt_pass_i8: BtPass<i8>,
+    bt_pass_i16: BtPass<i16>,
+    deinterleave: fn(&[i16], &mut [i16], TileLanes),
+    output_stage: fn(&[i32], &[f32], &mut [f32], OutputLanes),
     quantize_f32_i8: fn(&mut [i8], &[f32], f32, f32, i32, i32),
-    quantize_i32_i8_panel: PanelQuantize<i8>,
-    quantize_i32_i16_panel: PanelQuantize<i16>,
+    quantize_i16_i8_panel: PanelQuantize<i8>,
+    quantize_i16_i16_panel: PanelQuantize<i16>,
     requant_f32: fn(&mut [f32], &[f32], f32, f32, i32, i32),
 }
 
-/// The SoA/quantize implementation table for one variant. The VNNI and
-/// `dotprod` tiers only change the GEMM microkernels, so they share the
-/// AVX-512 / NEON bodies here.
-fn soa_ops_for(variant: KernelVariant) -> SoaOps {
+/// The implementation table for one variant (a promoted constant: looking
+/// it up per call costs a match). The VNNI and `dotprod` tiers only change
+/// the GEMM microkernels, so they share the AVX-512 / NEON bodies here.
+fn soa_ops_for(variant: KernelVariant) -> &'static SoaOps {
     match variant {
         #[cfg(target_arch = "x86_64")]
-        KernelVariant::Avx2 => SoaOps {
+        KernelVariant::Avx2 => &SoaOps {
             axpy_f32: x86::axpy_f32_avx2,
-            axpy_f32_unfused: x86::axpy_f32_unfused_avx2,
-            axpy_i32: x86::axpy_i32_avx2,
-            scale_i32_f32: x86::scale_i32_f32_avx2,
+            bt_pass_i8: x86::avx2::bt_pass,
+            bt_pass_i16: x86::avx2::bt_pass,
+            deinterleave: x86::avx2::deinterleave,
+            output_stage: x86::avx2::output_stage,
             quantize_f32_i8: x86::quantize_f32_i8_avx2,
-            quantize_i32_i8_panel: x86::quantize_panel_avx2::<i8>,
-            quantize_i32_i16_panel: x86::quantize_panel_avx2::<i16>,
+            quantize_i16_i8_panel: x86::quantize_panel_avx2::<i8>,
+            quantize_i16_i16_panel: x86::quantize_panel_avx2::<i16>,
             requant_f32: x86::requant_f32_avx2,
         },
         #[cfg(target_arch = "x86_64")]
-        KernelVariant::Avx512 | KernelVariant::Avx512Vnni => SoaOps {
+        KernelVariant::Avx512 | KernelVariant::Avx512Vnni => &SoaOps {
             axpy_f32: x86::axpy_f32_avx512,
-            axpy_f32_unfused: x86::axpy_f32_unfused_avx512,
-            axpy_i32: x86::axpy_i32_avx512,
-            scale_i32_f32: x86::scale_i32_f32_avx512,
+            bt_pass_i8: x86::avx512::bt_pass,
+            bt_pass_i16: x86::avx512::bt_pass,
+            deinterleave: x86::avx512::deinterleave,
+            output_stage: x86::avx512::output_stage,
             quantize_f32_i8: x86::quantize_f32_i8_avx512,
-            quantize_i32_i8_panel: x86::quantize_panel_avx512::<i8>,
-            quantize_i32_i16_panel: x86::quantize_panel_avx512::<i16>,
+            quantize_i16_i8_panel: x86::quantize_panel_avx512::<i8>,
+            quantize_i16_i16_panel: x86::quantize_panel_avx512::<i16>,
             requant_f32: x86::requant_f32_avx512,
         },
         #[cfg(target_arch = "aarch64")]
-        KernelVariant::Neon | KernelVariant::NeonDot => SoaOps {
+        KernelVariant::Neon | KernelVariant::NeonDot => &SoaOps {
             axpy_f32: neon::axpy_f32_neon,
-            axpy_f32_unfused: neon::axpy_f32_unfused_neon,
-            axpy_i32: neon::axpy_i32_neon,
-            scale_i32_f32: neon::scale_i32_f32_neon,
+            bt_pass_i8: neon::engines::bt_pass,
+            bt_pass_i16: neon::engines::bt_pass,
+            deinterleave: neon::engines::deinterleave,
+            output_stage: neon::engines::output_stage,
             quantize_f32_i8: neon::quantize_f32_i8_neon,
-            quantize_i32_i8_panel: neon::quantize_panel_neon::<i8>,
-            quantize_i32_i16_panel: neon::quantize_panel_neon::<i16>,
+            quantize_i16_i8_panel: neon::quantize_panel_neon::<i8>,
+            quantize_i16_i16_panel: neon::quantize_panel_neon::<i16>,
             requant_f32: neon::requant_f32_neon,
         },
-        _ => SoaOps {
+        _ => &SoaOps {
             axpy_f32: axpy_f32_scalar,
-            axpy_f32_unfused: axpy_f32_scalar,
-            axpy_i32: axpy_i32_scalar,
-            scale_i32_f32: scale_i32_f32_scalar,
+            bt_pass_i8: bt_pass_body,
+            bt_pass_i16: bt_pass_body,
+            deinterleave: deinterleave_body,
+            output_stage: output_stage_body,
             quantize_f32_i8: quantize_f32_i8_scalar,
-            quantize_i32_i8_panel: quantize_panel_scalar::<i8>,
-            quantize_i32_i16_panel: quantize_panel_scalar::<i16>,
+            quantize_i16_i8_panel: quantize_panel_scalar::<i8>,
+            quantize_i16_i16_panel: quantize_panel_scalar::<i16>,
             requant_f32: requant_f32_scalar,
         },
     }
 }
 
+/// The table of the process-wide [`active`] variant.
 fn soa_ops() -> &'static SoaOps {
-    static OPS: OnceLock<SoaOps> = OnceLock::new();
-    OPS.get_or_init(|| soa_ops_for(active()))
+    soa_ops_for(active())
 }
 
 /// `dst[i] += coeff · src[i]`. The float Winograd transforms use this; SIMD
-/// variants may contract the multiply-add (FMA), so results can differ from
-/// the scalar build in the last ulp — callers on bit-pinned paths use
-/// [`axpy_f32_unfused`] instead.
+/// variants contract the multiply-add (FMA), so results can differ from the
+/// scalar build in the last ulp.
 ///
 /// # Panics
 ///
@@ -293,44 +311,6 @@ fn soa_ops() -> &'static SoaOps {
 pub fn axpy_f32(dst: &mut [f32], coeff: f32, src: &[f32]) {
     assert_eq!(dst.len(), src.len(), "axpy_f32: length mismatch");
     (soa_ops().axpy_f32)(dst, coeff, src);
-}
-
-/// [`axpy_f32`] with the multiply and add rounded separately on every
-/// variant — bit-identical to the scalar loop. The integer Winograd
-/// pipeline's float back-transform uses this to stay bit-identical to its
-/// per-tile reference.
-///
-/// # Panics
-///
-/// Panics if the slices disagree in length.
-pub fn axpy_f32_unfused(dst: &mut [f32], coeff: f32, src: &[f32]) {
-    assert_eq!(dst.len(), src.len(), "axpy_f32_unfused: length mismatch");
-    (soa_ops().axpy_f32_unfused)(dst, coeff, src);
-}
-
-/// `dst[i] += coeff · src[i]` over `i32` lanes — exact on every variant
-/// (integer arithmetic; callers guarantee no overflow, as the scalar loop
-/// already required).
-///
-/// # Panics
-///
-/// Panics if the slices disagree in length.
-pub fn axpy_i32(dst: &mut [i32], coeff: i32, src: &[i32]) {
-    assert_eq!(dst.len(), src.len(), "axpy_i32: length mismatch");
-    (soa_ops().axpy_i32)(dst, coeff, src);
-}
-
-/// `dst[i] = src[i] as f32 · scale` — the integer pipeline's per-tap `S_BG`
-/// rescale. The `i32 → f32` conversion and the multiply round identically
-/// to the scalar expression on every variant, so this is bit-identical
-/// everywhere.
-///
-/// # Panics
-///
-/// Panics if the slices disagree in length.
-pub fn scale_i32_f32(dst: &mut [f32], src: &[i32], scale: f32) {
-    assert_eq!(dst.len(), src.len(), "scale_i32_f32: length mismatch");
-    (soa_ops().scale_i32_f32)(dst, src, scale);
 }
 
 /// `dst[i] = clamp(round_ties_even((src[i] + bias) / scale), lo, hi) as i8` —
@@ -457,37 +437,21 @@ impl SlotCursor {
 /// `dst[slot.offset(j)] = clamp(round_ties_even(src[j] as f32 / scale), lo,
 /// hi) as i8`, XORed with the sign bit when `flip` — the tap-wise
 /// requantization of the integer input transform (`S_B`) at ≤ 8
-/// Winograd-domain bits, written straight into the GEMM panel (`flip` is the
-/// `u8 = code + 128` form an unsigned × signed dot-product kernel reads).
-/// Only the addressed element of each `K` group is written; its neighbours
-/// (the other `K` steps of the group) are left alone. Bit-identical across
-/// variants (the `i32 → f32` conversion is exact for the pipeline's bounded
-/// sums).
+/// Winograd-domain bits, read from the transform engines' `i16` lanes and
+/// written straight into the GEMM panel (`flip` is the `u8 = code + 128` form
+/// an unsigned × signed dot-product kernel reads). Only the addressed element
+/// of each `K` group is written; its neighbours (the other `K` steps of the
+/// group) are left alone. Bit-identical across variants.
 ///
 /// # Panics
 ///
 /// Panics if `dst` is shorter than the slot needs, `[lo, hi] ⊄ i8` or
 /// `slot.g >= slot.group`.
-pub fn quantize_i32_i8_panel(
-    dst: &mut [i8],
-    src: &[i32],
-    scale: f32,
-    lo: i32,
-    hi: i32,
-    flip: bool,
-    slot: PanelSlot,
-) {
-    slot.check::<i8>(dst.len(), src.len(), lo, hi);
-    (soa_ops().quantize_i32_i8_panel)(dst, src, scale, lo, hi, flip, slot);
-}
-
-/// [`quantize_i32_i8_panel`] with an explicit kernel variant (tests/benches).
-/// A variant foreign to this build's architecture runs the scalar body.
 #[allow(clippy::too_many_arguments)]
-pub fn quantize_i32_i8_panel_with(
+pub fn quantize_i16_i8_panel_with(
     variant: KernelVariant,
     dst: &mut [i8],
-    src: &[i32],
+    src: &[i16],
     scale: f32,
     lo: i32,
     hi: i32,
@@ -495,36 +459,21 @@ pub fn quantize_i32_i8_panel_with(
     slot: PanelSlot,
 ) {
     slot.check::<i8>(dst.len(), src.len(), lo, hi);
-    (soa_ops_for(variant).quantize_i32_i8_panel)(dst, src, scale, lo, hi, flip, slot);
+    (soa_ops_for(variant).quantize_i16_i8_panel)(dst, src, scale, lo, hi, flip, slot);
 }
 
-/// [`quantize_i32_i8_panel`] producing `i16` codes (Winograd-domain
+/// [`quantize_i16_i8_panel_with`] producing `i16` codes (Winograd-domain
 /// bit-widths above 8).
 ///
 /// # Panics
 ///
 /// Panics if `dst` is shorter than the slot needs, `[lo, hi] ⊄ i16` or
 /// `slot.g >= slot.group`.
-pub fn quantize_i32_i16_panel(
-    dst: &mut [i16],
-    src: &[i32],
-    scale: f32,
-    lo: i32,
-    hi: i32,
-    flip: bool,
-    slot: PanelSlot,
-) {
-    slot.check::<i16>(dst.len(), src.len(), lo, hi);
-    (soa_ops().quantize_i32_i16_panel)(dst, src, scale, lo, hi, flip, slot);
-}
-
-/// [`quantize_i32_i16_panel`] with an explicit kernel variant
-/// (tests/benches).
 #[allow(clippy::too_many_arguments)]
-pub fn quantize_i32_i16_panel_with(
+pub fn quantize_i16_i16_panel_with(
     variant: KernelVariant,
     dst: &mut [i16],
-    src: &[i32],
+    src: &[i16],
     scale: f32,
     lo: i32,
     hi: i32,
@@ -532,32 +481,7 @@ pub fn quantize_i32_i16_panel_with(
     slot: PanelSlot,
 ) {
     slot.check::<i16>(dst.len(), src.len(), lo, hi);
-    (soa_ops_for(variant).quantize_i32_i16_panel)(dst, src, scale, lo, hi, flip, slot);
-}
-
-/// `dst[i] = clamp(round_ties_even(src[i] as f32 / scale), lo, hi) as i16` —
-/// [`quantize_i32_i16_panel`] onto a contiguous row.
-///
-/// # Panics
-///
-/// Panics if the slices disagree in length or `[lo, hi] ⊄ i16`.
-pub fn quantize_i32_i16(dst: &mut [i16], src: &[i32], scale: f32, lo: i32, hi: i32) {
-    assert_eq!(dst.len(), src.len(), "quantize_i32_i16: length mismatch");
-    quantize_i32_i16_panel(dst, src, scale, lo, hi, false, PanelSlot::CONTIGUOUS);
-}
-
-/// [`quantize_i32_i16`] with an explicit kernel variant (tests/benches).
-pub fn quantize_i32_i16_with(
-    variant: KernelVariant,
-    dst: &mut [i16],
-    src: &[i32],
-    scale: f32,
-    lo: i32,
-    hi: i32,
-) {
-    assert_eq!(dst.len(), src.len(), "quantize_i32_i16: length mismatch");
-    let slot = PanelSlot::CONTIGUOUS;
-    quantize_i32_i16_panel_with(variant, dst, src, scale, lo, hi, false, slot);
+    (soa_ops_for(variant).quantize_i16_i16_panel)(dst, src, scale, lo, hi, flip, slot);
 }
 
 /// `dst[i] = clamp(round_ties_even((src[i] + bias) / scale), lo, hi) as f32 ·
@@ -606,18 +530,6 @@ fn axpy_f32_scalar(dst: &mut [f32], coeff: f32, src: &[f32]) {
 fn axpy_f32_fused_tail(dst: &mut [f32], coeff: f32, src: &[f32]) {
     for (d, &s) in dst.iter_mut().zip(src.iter()) {
         *d = coeff.mul_add(s, *d);
-    }
-}
-
-fn axpy_i32_scalar(dst: &mut [i32], coeff: i32, src: &[i32]) {
-    for (d, &s) in dst.iter_mut().zip(src.iter()) {
-        *d += coeff * s;
-    }
-}
-
-fn scale_i32_f32_scalar(dst: &mut [f32], src: &[i32], scale: f32) {
-    for (d, &s) in dst.iter_mut().zip(src.iter()) {
-        *d = s as f32 * scale;
     }
 }
 
@@ -671,7 +583,7 @@ impl PanelCode for i16 {
 #[allow(clippy::too_many_arguments)]
 fn quantize_panel_tail<E: PanelCode>(
     dst: &mut [E],
-    src: &[i32],
+    src: &[i16],
     first: usize,
     scale: f32,
     lo: i32,
@@ -681,7 +593,7 @@ fn quantize_panel_tail<E: PanelCode>(
 ) {
     let mut cur = SlotCursor::new(slot, first);
     for &s in &src[first..] {
-        let code = quantize_step(s as f32, scale, 0.0, lo, hi);
+        let code = quantize_step(f32::from(s), scale, 0.0, lo, hi);
         dst[cur.at() + slot.g] = E::from_code(code, flip);
         cur.advance(1);
     }
@@ -689,7 +601,7 @@ fn quantize_panel_tail<E: PanelCode>(
 
 fn quantize_panel_scalar<E: PanelCode>(
     dst: &mut [E],
-    src: &[i32],
+    src: &[i16],
     scale: f32,
     lo: i32,
     hi: i32,
@@ -699,9 +611,15 @@ fn quantize_panel_scalar<E: PanelCode>(
     quantize_panel_tail(dst, src, 0, scale, lo, hi, flip, slot);
 }
 
-#[cfg(test)]
-fn quantize_i32_i16_scalar(dst: &mut [i16], src: &[i32], scale: f32, lo: i32, hi: i32) {
-    quantize_panel_scalar(dst, src, scale, lo, hi, false, PanelSlot::CONTIGUOUS);
+/// `(factor, multiply)` of a vector panel quantizer: the exact reciprocal of
+/// a power-of-two `scale`, to multiply by — `x · 2⁻ᵏ` and `x / 2ᵏ` are the
+/// same correctly rounded real number, so the same bits, without the
+/// divider's latency — or `scale` itself, to divide by.
+#[allow(dead_code)] // unused on targets without a vector body
+fn reciprocal_if_exact(scale: f32) -> (f32, bool) {
+    let recip = 1.0 / scale;
+    let exact = scale.to_bits() & 0x007f_ffff == 0 && scale.is_normal() && recip.is_normal();
+    (if exact { recip } else { scale }, exact)
 }
 
 /// The per-lane byte mask and field shift of one vector body: a lane's slot
@@ -727,11 +645,380 @@ fn requant_f32_scalar(dst: &mut [f32], src: &[f32], scale: f32, bias: f32, lo: i
     }
 }
 
+// ---------------------------------------------------------------------------
+// Winograd transform engines of the integer pipeline: plain arithmetic on
+// fixed-size lane blocks, which the compiler turns into the vectors of
+// whatever ISA the enclosing `engine_instances!` wrapper enables.
+// ---------------------------------------------------------------------------
+
+/// A lane element of the 1-D `Bᵀ` pass: int8 pixels (the column pass, widened
+/// on load) or `i16` partial transforms (the row pass).
+pub trait BtLane: Copy + 'static {
+    /// The lane widened to the transform's `i16` domain.
+    fn widen(self) -> i16;
+    /// `variant`'s pass over this lane type.
+    #[doc(hidden)]
+    fn pass_for(variant: KernelVariant) -> fn(&[&[Self]], &mut [i16], usize);
+}
+
+impl BtLane for i8 {
+    #[inline(always)]
+    fn widen(self) -> i16 {
+        i16::from(self)
+    }
+    fn pass_for(variant: KernelVariant) -> BtPass<i8> {
+        soa_ops_for(variant).bt_pass_i8
+    }
+}
+
+impl BtLane for i16 {
+    #[inline(always)]
+    fn widen(self) -> i16 {
+        self
+    }
+    fn pass_for(variant: KernelVariant) -> BtPass<i16> {
+        soa_ops_for(variant).bt_pass_i16
+    }
+}
+
+/// The 1-D input transform `Bᵀ·d` of F(2×2, 3×3) (`src.len() == 4`) or
+/// F(4×4, 3×3) (`src.len() == 6`) across lanes: `dst[r · stride + i] =
+/// Σ_k Bᵀ[r][k] · src[k][i]`, in the hand-factored shift-and-add form of the
+/// paper's transformation engines instead of a matrix product. Exact while
+/// the result fits `i16` (the integer pipeline proves `128·‖Bᵀ‖∞²` does).
+///
+/// # Panics
+///
+/// Panics if `src` is not 4 or 6 rows at least as long as the first, or
+/// `dst` is too short.
+pub fn wino_bt_pass_with<I: BtLane>(
+    variant: KernelVariant,
+    src: &[&[I]],
+    dst: &mut [i16],
+    stride: usize,
+) {
+    I::pass_for(variant)(src, dst, stride);
+}
+
+#[inline(always)]
+fn bt_f2(d: [i16; 4]) -> [i16; 4] {
+    [d[0] - d[2], d[1] + d[2], d[2] - d[1], d[1] - d[3]]
+}
+
+/// Twelve adds and six small multiplies (shifts) where the matrix form
+/// spends 36 multiply-adds.
+#[inline(always)]
+fn bt_f4(d: [i16; 6]) -> [i16; 6] {
+    let (a, b) = (d[4] - 4 * d[2], d[3] - 4 * d[1]);
+    let (c, e) = (d[4] - d[2], 2 * (d[3] - d[1]));
+    [
+        4 * d[0] - 5 * d[2] + d[4],
+        a + b,
+        a - b,
+        c + e,
+        c - e,
+        4 * d[1] - 5 * d[3] + d[5],
+    ]
+}
+
+/// `$block::<…, L>(…, i)` for the `L`-lane blocks covering `0..n` (`n ≥ L`, or
+/// `n == 0`); a ragged end re-runs the last full block (callers' sources and
+/// destinations never alias, so recomputing lanes is idempotent). A macro, not
+/// a closure-taking function: everything must inline into the ISA wrapper.
+macro_rules! lane_blocks {
+    ($n:expr, $l:literal, $block:ident::<$($g:tt),*>($($arg:expr),*)) => {{
+        let (lanes, mut i): (usize, usize) = ($l, 0);
+        while i + lanes <= $n {
+            $block::<$($g,)* $l>($($arg,)* i);
+            i += lanes;
+        }
+        if i < $n {
+            $block::<$($g,)* $l>($($arg,)* $n - lanes);
+        }
+    }};
+}
+
+/// Lanes `i..i + L` of a `Bᵀ` pass.
+#[inline(always)]
+fn bt_block<I: BtLane, const T: usize, const L: usize>(
+    src: &[&[I]],
+    dst: &mut [i16],
+    stride: usize,
+    bt: impl Fn([i16; T]) -> [i16; T],
+    i: usize,
+) {
+    let mut d = [[0_i16; L]; T];
+    for (dk, row) in d.iter_mut().zip(src) {
+        for (dl, s) in dk.iter_mut().zip(&row[i..i + L]) {
+            *dl = s.widen();
+        }
+    }
+    let mut out = [[0_i16; L]; T];
+    for l in 0..L {
+        let col = bt(std::array::from_fn(|k| d[k][l]));
+        for k in 0..T {
+            out[k][l] = col[k];
+        }
+    }
+    for (k, row) in out.iter().enumerate() {
+        dst[k * stride + i..][..L].copy_from_slice(row);
+    }
+}
+
+#[inline(always)]
+fn bt_pass_body<I: BtLane>(src: &[&[I]], dst: &mut [i16], stride: usize) {
+    let n = src[0].len();
+    match (src.len(), n) {
+        (4, 32..) => lane_blocks!(n, 32, bt_block::<I, 4>(src, dst, stride, bt_f2)),
+        (4, 8..) => lane_blocks!(n, 8, bt_block::<I, 4>(src, dst, stride, bt_f2)),
+        (4, _) => lane_blocks!(n, 1, bt_block::<I, 4>(src, dst, stride, bt_f2)),
+        (6, 32..) => lane_blocks!(n, 32, bt_block::<I, 6>(src, dst, stride, bt_f4)),
+        (6, 8..) => lane_blocks!(n, 8, bt_block::<I, 6>(src, dst, stride, bt_f4)),
+        (6, _) => lane_blocks!(n, 1, bt_block::<I, 6>(src, dst, stride, bt_f4)),
+        (t, _) => panic!("wino_bt_pass: no integer engine for {t}x{t} input tiles"),
+    }
+}
+
+/// Tiles per [`wino_deinterleave_with`] step: it writes whole steps, so tile-lane
+/// rows need up to `DEINTERLEAVE_LANES - 1` lanes of slack past their last
+/// tile and transformed rows one tile step plus this many of padding.
+pub const DEINTERLEAVE_LANES: usize = 16;
+
+/// How one [`wino_deinterleave_with`] call addresses its operands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TileLanes {
+    /// Output tile edge `m` (2 or 4), the pixel step between tiles.
+    pub m: usize,
+    /// Tiles per transformed row.
+    pub tiles: usize,
+    /// Elements between consecutive transformed rows.
+    pub row_len: usize,
+    /// Elements between consecutive tile-lane rows.
+    pub stride: usize,
+}
+
+/// Transformed image rows to tile lanes: for each of the `m + 2` rows of
+/// `rows` (pixel `x` at element `x + 1`, behind the left border) and each
+/// `dx`, `dst[(r · (m + 2) + dx) · stride + tx] = row_r[tx · m + dx]` for
+/// `tx < tiles` — the strided reads of the `m`-pixel tile step done as one
+/// shift-and-narrow per [`DEINTERLEAVE_LANES`] tiles. Lanes `tiles..` up to
+/// the next multiple of [`DEINTERLEAVE_LANES`] are clobbered.
+///
+/// # Panics
+///
+/// Panics if `at.m` is not 2 or 4, a row is shorter than
+/// `(tiles.next_multiple_of(DEINTERLEAVE_LANES) + 1) · m`, or `dst` cannot
+/// hold the clobbered lanes.
+pub fn wino_deinterleave_with(
+    variant: KernelVariant,
+    rows: &[i16],
+    dst: &mut [i16],
+    at: TileLanes,
+) {
+    (soa_ops_for(variant).deinterleave)(rows, dst, at);
+}
+
+#[inline(always)]
+fn deinterleave_steps<W: Copy + Into<u64>, const M: usize>(
+    rows: &[i16],
+    dst: &mut [i16],
+    at: TileLanes,
+) {
+    const C: usize = DEINTERLEAVE_LANES;
+    let t = M + 2;
+    assert!(rows.len() >= t * at.row_len, "wino_deinterleave: rows");
+    for (r, row) in rows.chunks_exact(at.row_len).take(t).enumerate() {
+        let dst = &mut dst[r * t * at.stride..];
+        // One tile step's `M` pixels as one integer `W` (`u32` for F2, `u64`
+        // for F4), pixel `j` in bits `16j..16j + 16`.
+        // SAFETY: every bit pattern is a valid integer, which is all
+        // `align_to` needs to reinterpret the aligned middle of the row.
+        let (head, steps, _) = unsafe { row.align_to::<W>() };
+        if !head.is_empty() || cfg!(target_endian = "big") {
+            // A row off the step's alignment: plain strided copies.
+            for dx in 0..t {
+                for tx in 0..at.tiles {
+                    dst[dx * at.stride + tx] = row[tx * M + dx];
+                }
+            }
+            continue;
+        }
+        for tx0 in (0..at.tiles).step_by(C) {
+            for dx in 0..t {
+                let mut lanes = [0_i16; C];
+                for (lane, step) in lanes.iter_mut().zip(&steps[tx0 + dx / M..][..C]) {
+                    *lane = ((*step).into() >> (16 * (dx % M))) as i16;
+                }
+                dst[dx * at.stride + tx0..][..C].copy_from_slice(&lanes);
+            }
+        }
+    }
+}
+
+#[inline(always)]
+fn deinterleave_body(rows: &[i16], dst: &mut [i16], at: TileLanes) {
+    match at.m {
+        2 => deinterleave_steps::<u32, 2>(rows, dst, at),
+        4 => deinterleave_steps::<u64, 4>(rows, dst, at),
+        m => panic!("wino_deinterleave: no integer engine for F{m}"),
+    }
+}
+
+/// `Aᵀ` of F(2×2, 3×3) and F(4×4, 3×3) — the output transforms
+/// [`wino_output_stage_with`] implements.
+const AT_F2: [[f32; 4]; 2] = [[1.0, 1.0, 1.0, 0.0], [0.0, 1.0, -1.0, -1.0]];
+const AT_F4: [[f32; 6]; 4] = [
+    [1.0, 1.0, 1.0, 1.0, 1.0, 0.0],
+    [0.0, 1.0, -1.0, 2.0, -2.0, 0.0],
+    [0.0, 1.0, 1.0, 4.0, 4.0, 0.0],
+    [0.0, 1.0, -1.0, 8.0, -8.0, 1.0],
+];
+
+/// The row-major `Aᵀ` (`(t − 2) × t`) [`wino_output_stage_with`] applies
+/// for `t × t` input tiles, for callers to check their matrices against.
+pub fn wino_output_matrix(t: usize) -> Option<&'static [f32]> {
+    match t {
+        4 => Some(AT_F2.as_flattened()),
+        6 => Some(AT_F4.as_flattened()),
+        _ => None,
+    }
+}
+
+/// How one [`wino_output_stage_with`] call addresses its operands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OutputLanes {
+    /// Input tile edge `t` (4 or 6); the output tile edge is `m = t − 2`.
+    pub t: usize,
+    /// Lanes (tiles, or output channels on channel-laned layers).
+    pub n: usize,
+    /// Accumulators between consecutive taps of one lane.
+    pub tap_stride: usize,
+    /// Output elements between consecutive lanes (1: contiguous lane rows).
+    pub lane_stride: usize,
+    /// Output elements between consecutive output pixels `r·m + c`.
+    pub rc_stride: usize,
+}
+
+/// The integer pipeline's output stage over `n` lanes, register-blocked: the
+/// `t²` accumulators of lane `i` (`acc[tap · tap_stride + i]`) are rescaled
+/// with the per-tap `S_BG` (`acc as f32 · sbg[tap]`) and back-transformed
+/// with `Aᵀ · M · A`, output pixel `rc` landing at `dst[rc · rc_stride + i ·
+/// lane_stride]`. Every sum starts from `+0.0` and adds `coeff · x` (zero
+/// coefficients skipped) term by term in `k` order, multiply and add rounded
+/// separately: the scalar reference's bits on every variant.
+///
+/// # Panics
+///
+/// Panics if `lanes.t` is not 4 or 6 or a slice is too short.
+pub fn wino_output_stage_with(
+    variant: KernelVariant,
+    acc: &[i32],
+    sbg: &[f32],
+    dst: &mut [f32],
+    lanes: OutputLanes,
+) {
+    (soa_ops_for(variant).output_stage)(acc, sbg, dst, lanes);
+}
+
+/// Lanes `i..i + L` of an output stage.
+#[inline(always)]
+fn output_block<const T: usize, const M: usize, const L: usize>(
+    acc: &[i32],
+    sbg: &[f32],
+    dst: &mut [f32],
+    at: &[[f32; T]; M],
+    lanes: OutputLanes,
+    i: usize,
+) {
+    // Stage 1, a tap column at a time: b[r][c] = Σ_k Aᵀ[r][k] · e[k][c].
+    let mut b = [[[0.0_f32; L]; T]; M];
+    for c in 0..T {
+        let mut e = [[0.0_f32; L]; T];
+        for (k, ek) in e.iter_mut().enumerate() {
+            let tap = k * T + c;
+            let src = &acc[tap * lanes.tap_stride + i..][..L];
+            for (el, &a) in ek.iter_mut().zip(src) {
+                *el = a as f32 * sbg[tap];
+            }
+        }
+        for (br, at_r) in b.iter_mut().zip(at) {
+            for (ek, &coeff) in e.iter().zip(at_r) {
+                if coeff != 0.0 {
+                    for (s, &x) in br[c].iter_mut().zip(ek) {
+                        *s += coeff * x;
+                    }
+                }
+            }
+        }
+    }
+    // Stage 2: out[r][c] = Σ_k b[r][k] · Aᵀ[c][k].
+    for (r, br) in b.iter().enumerate() {
+        for (c, at_c) in at.iter().enumerate() {
+            let mut out = [0.0_f32; L];
+            for (bk, &coeff) in br.iter().zip(at_c) {
+                if coeff != 0.0 {
+                    for (s, &x) in out.iter_mut().zip(bk) {
+                        *s += coeff * x;
+                    }
+                }
+            }
+            let at = (r * M + c) * lanes.rc_stride + i * lanes.lane_stride;
+            if lanes.lane_stride == 1 {
+                dst[at..][..L].copy_from_slice(&out);
+            } else {
+                for (l, &s) in out.iter().enumerate() {
+                    dst[at + l * lanes.lane_stride] = s;
+                }
+            }
+        }
+    }
+}
+
+#[inline(always)]
+fn output_stage_body(acc: &[i32], sbg: &[f32], dst: &mut [f32], lanes: OutputLanes) {
+    let (n, f2, f4) = (lanes.n, &AT_F2, &AT_F4);
+    match (lanes.t, n) {
+        (4, 16..) => lane_blocks!(n, 16, output_block::<4, 2>(acc, sbg, dst, f2, lanes)),
+        (4, 4..) => lane_blocks!(n, 4, output_block::<4, 2>(acc, sbg, dst, f2, lanes)),
+        (4, _) => lane_blocks!(n, 1, output_block::<4, 2>(acc, sbg, dst, f2, lanes)),
+        (6, 16..) => lane_blocks!(n, 16, output_block::<6, 4>(acc, sbg, dst, f4, lanes)),
+        (6, 4..) => lane_blocks!(n, 4, output_block::<6, 4>(acc, sbg, dst, f4, lanes)),
+        (6, _) => lane_blocks!(n, 1, output_block::<6, 4>(acc, sbg, dst, f4, lanes)),
+        (t, _) => panic!("wino_output_stage: no engine for {t}x{t} input tiles"),
+    }
+}
+
+/// `pub fn $name(args)`: the generic body `$body` compiled under the target
+/// features `$features`.
+#[allow(unused_macros)] // unused on targets without a vector ISA
+macro_rules! isa_instance {
+    ($features:literal, $body:ident, $name:ident$(<$g:ident: $b:ident>)?($($arg:ident: $ty:ty),*)) => {
+        pub fn $name$(<$g: $crate::simd::$b>)?($($arg: $ty),*) {
+            #[target_feature(enable = $features)]
+            unsafe fn isa$(<$g: $crate::simd::$b>)?($($arg: $ty),*) {
+                $crate::simd::$body($($arg),*)
+            }
+            // SAFETY: dispatch verified the target features.
+            unsafe { isa($($arg),*) }
+        }
+    };
+}
+
+/// The transform-engine bodies compiled under one ISA's target features.
+#[allow(unused_macros)]
+macro_rules! engine_instances {
+    ($f:literal) => {
+        isa_instance!($f, bt_pass_body, bt_pass<I: BtLane>(src: &[&[I]], dst: &mut [i16], stride: usize));
+        isa_instance!($f, deinterleave_body, deinterleave(rows: &[i16], dst: &mut [i16], at: $crate::simd::TileLanes));
+        isa_instance!($f, output_stage_body, output_stage(acc: &[i32], sbg: &[f32], dst: &mut [f32], lanes: $crate::simd::OutputLanes));
+    };
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{
-        axpy_f32_scalar, axpy_i32_scalar, lane_field, quantize_f32_i8_scalar, quantize_panel_tail,
-        requant_f32_scalar, scale_i32_f32_scalar, PanelCode, PanelSlot, SlotCursor,
+        lane_field, quantize_f32_i8_scalar, quantize_panel_tail, reciprocal_if_exact,
+        requant_f32_scalar, PanelCode, PanelSlot, SlotCursor,
     };
     use core::arch::x86_64::*;
 
@@ -785,7 +1072,7 @@ mod x86 {
 
     pub fn quantize_panel_avx2<E: PanelCode>(
         dst: &mut [E],
-        src: &[i32],
+        src: &[i16],
         scale: f32,
         lo: i32,
         hi: i32,
@@ -805,7 +1092,7 @@ mod x86 {
     #[target_feature(enable = "avx2")]
     unsafe fn quantize_panel_avx2_impl<E: PanelCode>(
         dst: &mut [E],
-        src: &[i32],
+        src: &[i16],
         scale: f32,
         lo: i32,
         hi: i32,
@@ -833,15 +1120,22 @@ mod x86 {
             0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
             0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
         );
-        let sc = _mm256_set1_ps(scale);
+        let (factor, multiply) = reciprocal_if_exact(scale);
+        let fv = _mm256_set1_ps(factor);
         let lov = _mm256_set1_ps(lo as f32);
         let hiv = _mm256_set1_ps(hi as f32);
         let (n, s) = (src.len(), src.as_ptr());
         let mut cur = SlotCursor::new(slot, 0);
         let mut i = 0;
         while i + 8 <= n {
-            let v = _mm256_cvtepi32_ps(_mm256_loadu_si256(s.add(i) as *const __m256i));
-            let v = _mm256_min_ps(_mm256_max_ps(_mm256_div_ps(v, sc), lov), hiv);
+            let lanes = _mm256_cvtepi16_epi32(_mm_loadu_si128(s.add(i) as *const __m128i));
+            let v = _mm256_cvtepi32_ps(lanes);
+            let v = if multiply {
+                _mm256_mul_ps(v, fv)
+            } else {
+                _mm256_div_ps(v, fv)
+            };
+            let v = _mm256_min_ps(_mm256_max_ps(v, lov), hiv);
             let q = _mm256_cvtps_epi32(v);
             // The code's low bytes (sign-flipped on request) moved to this
             // row's position inside the lane slot.
@@ -950,7 +1244,7 @@ mod x86 {
 
     pub fn quantize_panel_avx512<E: PanelCode>(
         dst: &mut [E],
-        src: &[i32],
+        src: &[i16],
         scale: f32,
         lo: i32,
         hi: i32,
@@ -971,7 +1265,7 @@ mod x86 {
     #[target_feature(enable = "avx512f,avx512bw")]
     unsafe fn quantize_panel_avx512_impl<E: PanelCode>(
         dst: &mut [E],
-        src: &[i32],
+        src: &[i16],
         scale: f32,
         lo: i32,
         hi: i32,
@@ -993,15 +1287,22 @@ mod x86 {
         let emask = _mm512_set1_epi32(((1u64 << e_bits) - 1) as i32);
         let flipv = _mm512_set1_epi32(if flip { 1 << (e_bits - 1) } else { 0 });
         let count = _mm_cvtsi32_si128(shift as i32);
-        let sc = _mm512_set1_ps(scale);
+        let (factor, multiply) = reciprocal_if_exact(scale);
+        let fv = _mm512_set1_ps(factor);
         let lov = _mm512_set1_ps(lo as f32);
         let hiv = _mm512_set1_ps(hi as f32);
         let (n, s) = (src.len(), src.as_ptr());
         let mut cur = SlotCursor::new(slot, 0);
         let mut i = 0;
         while i + 16 <= n {
-            let v = _mm512_cvtepi32_ps(_mm512_loadu_si512(s.add(i) as *const __m512i));
-            let v = _mm512_min_ps(_mm512_max_ps(_mm512_div_ps(v, sc), lov), hiv);
+            let lanes = _mm512_cvtepi16_epi32(_mm256_loadu_si256(s.add(i) as *const __m256i));
+            let v = _mm512_cvtepi32_ps(lanes);
+            let v = if multiply {
+                _mm512_mul_ps(v, fv)
+            } else {
+                _mm512_div_ps(v, fv)
+            };
+            let v = _mm512_min_ps(_mm512_max_ps(v, lov), hiv);
             let q = _mm512_cvtps_epi32(v);
             // The code's low bytes (sign-flipped on request) moved to this
             // row's position inside the lane slot, then the lanes narrowed
@@ -1084,65 +1385,6 @@ mod x86 {
         super::axpy_f32_fused_tail(&mut dst[i..], coeff, &src[i..]);
     }
 
-    pub fn axpy_f32_unfused_avx2(dst: &mut [f32], coeff: f32, src: &[f32]) {
-        // SAFETY: dispatch verified avx2 support.
-        unsafe { axpy_f32_unfused_avx2_impl(dst, coeff, src) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn axpy_f32_unfused_avx2_impl(dst: &mut [f32], coeff: f32, src: &[f32]) {
-        let n = dst.len();
-        let (d, s) = (dst.as_mut_ptr(), src.as_ptr());
-        let c = _mm256_set1_ps(coeff);
-        let mut i = 0;
-        while i + 8 <= n {
-            // Separate multiply and add: bit-identical to the scalar loop.
-            let prod = _mm256_mul_ps(c, _mm256_loadu_ps(s.add(i)));
-            _mm256_storeu_ps(d.add(i), _mm256_add_ps(_mm256_loadu_ps(d.add(i)), prod));
-            i += 8;
-        }
-        axpy_f32_scalar(&mut dst[i..], coeff, &src[i..]);
-    }
-
-    pub fn axpy_i32_avx2(dst: &mut [i32], coeff: i32, src: &[i32]) {
-        // SAFETY: dispatch verified avx2 support.
-        unsafe { axpy_i32_avx2_impl(dst, coeff, src) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn axpy_i32_avx2_impl(dst: &mut [i32], coeff: i32, src: &[i32]) {
-        let n = dst.len();
-        let (d, s) = (dst.as_mut_ptr(), src.as_ptr());
-        let c = _mm256_set1_epi32(coeff);
-        let mut i = 0;
-        while i + 8 <= n {
-            let prod = _mm256_mullo_epi32(c, _mm256_loadu_si256(s.add(i) as *const __m256i));
-            let acc = _mm256_add_epi32(_mm256_loadu_si256(d.add(i) as *const __m256i), prod);
-            _mm256_storeu_si256(d.add(i) as *mut __m256i, acc);
-            i += 8;
-        }
-        axpy_i32_scalar(&mut dst[i..], coeff, &src[i..]);
-    }
-
-    pub fn scale_i32_f32_avx2(dst: &mut [f32], src: &[i32], scale: f32) {
-        // SAFETY: dispatch verified avx2 support.
-        unsafe { scale_i32_f32_avx2_impl(dst, src, scale) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn scale_i32_f32_avx2_impl(dst: &mut [f32], src: &[i32], scale: f32) {
-        let n = dst.len();
-        let (d, s) = (dst.as_mut_ptr(), src.as_ptr());
-        let c = _mm256_set1_ps(scale);
-        let mut i = 0;
-        while i + 8 <= n {
-            let v = _mm256_cvtepi32_ps(_mm256_loadu_si256(s.add(i) as *const __m256i));
-            _mm256_storeu_ps(d.add(i), _mm256_mul_ps(v, c));
-            i += 8;
-        }
-        scale_i32_f32_scalar(&mut dst[i..], &src[i..], scale);
-    }
-
     pub fn axpy_f32_avx512(dst: &mut [f32], coeff: f32, src: &[f32]) {
         // SAFETY: dispatch verified avx512f support.
         unsafe { axpy_f32_avx512_impl(dst, coeff, src) }
@@ -1162,70 +1404,20 @@ mod x86 {
         super::axpy_f32_fused_tail(&mut dst[i..], coeff, &src[i..]);
     }
 
-    pub fn axpy_f32_unfused_avx512(dst: &mut [f32], coeff: f32, src: &[f32]) {
-        // SAFETY: dispatch verified avx512f support.
-        unsafe { axpy_f32_unfused_avx512_impl(dst, coeff, src) }
+    pub mod avx2 {
+        engine_instances!("avx2");
     }
 
-    #[target_feature(enable = "avx512f")]
-    unsafe fn axpy_f32_unfused_avx512_impl(dst: &mut [f32], coeff: f32, src: &[f32]) {
-        let n = dst.len();
-        let (d, s) = (dst.as_mut_ptr(), src.as_ptr());
-        let c = _mm512_set1_ps(coeff);
-        let mut i = 0;
-        while i + 16 <= n {
-            let prod = _mm512_mul_ps(c, _mm512_loadu_ps(s.add(i)));
-            _mm512_storeu_ps(d.add(i), _mm512_add_ps(_mm512_loadu_ps(d.add(i)), prod));
-            i += 16;
-        }
-        axpy_f32_scalar(&mut dst[i..], coeff, &src[i..]);
-    }
-
-    pub fn axpy_i32_avx512(dst: &mut [i32], coeff: i32, src: &[i32]) {
-        // SAFETY: dispatch verified avx512f support.
-        unsafe { axpy_i32_avx512_impl(dst, coeff, src) }
-    }
-
-    #[target_feature(enable = "avx512f")]
-    unsafe fn axpy_i32_avx512_impl(dst: &mut [i32], coeff: i32, src: &[i32]) {
-        let n = dst.len();
-        let (d, s) = (dst.as_mut_ptr(), src.as_ptr());
-        let c = _mm512_set1_epi32(coeff);
-        let mut i = 0;
-        while i + 16 <= n {
-            let prod = _mm512_mullo_epi32(c, _mm512_loadu_si512(s.add(i) as *const __m512i));
-            let acc = _mm512_add_epi32(_mm512_loadu_si512(d.add(i) as *const __m512i), prod);
-            _mm512_storeu_si512(d.add(i) as *mut __m512i, acc);
-            i += 16;
-        }
-        axpy_i32_scalar(&mut dst[i..], coeff, &src[i..]);
-    }
-
-    pub fn scale_i32_f32_avx512(dst: &mut [f32], src: &[i32], scale: f32) {
-        // SAFETY: dispatch verified avx512f support.
-        unsafe { scale_i32_f32_avx512_impl(dst, src, scale) }
-    }
-
-    #[target_feature(enable = "avx512f")]
-    unsafe fn scale_i32_f32_avx512_impl(dst: &mut [f32], src: &[i32], scale: f32) {
-        let n = dst.len();
-        let (d, s) = (dst.as_mut_ptr(), src.as_ptr());
-        let c = _mm512_set1_ps(scale);
-        let mut i = 0;
-        while i + 16 <= n {
-            let v = _mm512_cvtepi32_ps(_mm512_loadu_si512(s.add(i) as *const __m512i));
-            _mm512_storeu_ps(d.add(i), _mm512_mul_ps(v, c));
-            i += 16;
-        }
-        scale_i32_f32_scalar(&mut dst[i..], &src[i..], scale);
+    pub mod avx512 {
+        engine_instances!("avx512f,avx512bw");
     }
 }
 
 #[cfg(target_arch = "aarch64")]
 mod neon {
     use super::{
-        axpy_f32_scalar, axpy_i32_scalar, lane_field, quantize_f32_i8_scalar, quantize_panel_tail,
-        requant_f32_scalar, scale_i32_f32_scalar, PanelCode, PanelSlot, SlotCursor,
+        lane_field, quantize_f32_i8_scalar, quantize_panel_tail, reciprocal_if_exact,
+        requant_f32_scalar, PanelCode, PanelSlot, SlotCursor,
     };
     use core::arch::aarch64::*;
 
@@ -1275,7 +1467,7 @@ mod neon {
 
     pub fn quantize_panel_neon<E: PanelCode>(
         dst: &mut [E],
-        src: &[i32],
+        src: &[i16],
         scale: f32,
         lo: i32,
         hi: i32,
@@ -1295,7 +1487,7 @@ mod neon {
     #[target_feature(enable = "neon")]
     unsafe fn quantize_panel_neon_impl<E: PanelCode>(
         dst: &mut [E],
-        src: &[i32],
+        src: &[i16],
         scale: f32,
         lo: i32,
         hi: i32,
@@ -1311,14 +1503,20 @@ mod neon {
         let emask = vdupq_n_u32(((1u64 << e_bits) - 1) as u32);
         let flipv = vdupq_n_u32(if flip { 1 << (e_bits - 1) } else { 0 });
         let count = vdupq_n_s32(shift as i32);
-        let sc = vdupq_n_f32(scale);
+        let (factor, multiply) = reciprocal_if_exact(scale);
+        let fv = vdupq_n_f32(factor);
         let lov = vdupq_n_f32(lo as f32);
         let hiv = vdupq_n_f32(hi as f32);
         let (n, s) = (src.len(), src.as_ptr());
         let mut cur = SlotCursor::new(slot, 0);
         let mut i = 0;
         while i + 4 <= n {
-            let v = vdivq_f32(vcvtq_f32_s32(vld1q_s32(s.add(i))), sc);
+            let v = vcvtq_f32_s32(vmovl_s16(vld1_s16(s.add(i))));
+            let v = if multiply {
+                vmulq_f32(v, fv)
+            } else {
+                vdivq_f32(v, fv)
+            };
             let v = vminq_f32(vmaxq_f32(v, lov), hiv);
             // vcvtnq rounds half-to-even, matching `round_ties_even`.
             let q = vreinterpretq_u32_s32(vcvtnq_s32_f32(v));
@@ -1399,60 +1597,8 @@ mod neon {
         super::axpy_f32_fused_tail(&mut dst[i..], coeff, &src[i..]);
     }
 
-    pub fn axpy_f32_unfused_neon(dst: &mut [f32], coeff: f32, src: &[f32]) {
-        // SAFETY: dispatch verified NEON support.
-        unsafe { axpy_f32_unfused_neon_impl(dst, coeff, src) }
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn axpy_f32_unfused_neon_impl(dst: &mut [f32], coeff: f32, src: &[f32]) {
-        let n = dst.len();
-        let (d, s) = (dst.as_mut_ptr(), src.as_ptr());
-        let c = vdupq_n_f32(coeff);
-        let mut i = 0;
-        while i + 4 <= n {
-            // Separate multiply and add: bit-identical to the scalar loop.
-            let prod = vmulq_f32(c, vld1q_f32(s.add(i)));
-            vst1q_f32(d.add(i), vaddq_f32(vld1q_f32(d.add(i)), prod));
-            i += 4;
-        }
-        axpy_f32_scalar(&mut dst[i..], coeff, &src[i..]);
-    }
-
-    pub fn axpy_i32_neon(dst: &mut [i32], coeff: i32, src: &[i32]) {
-        // SAFETY: dispatch verified NEON support.
-        unsafe { axpy_i32_neon_impl(dst, coeff, src) }
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn axpy_i32_neon_impl(dst: &mut [i32], coeff: i32, src: &[i32]) {
-        let n = dst.len();
-        let (d, s) = (dst.as_mut_ptr(), src.as_ptr());
-        let mut i = 0;
-        while i + 4 <= n {
-            let acc = vmlaq_n_s32(vld1q_s32(d.add(i)), vld1q_s32(s.add(i)), coeff);
-            vst1q_s32(d.add(i), acc);
-            i += 4;
-        }
-        axpy_i32_scalar(&mut dst[i..], coeff, &src[i..]);
-    }
-
-    pub fn scale_i32_f32_neon(dst: &mut [f32], src: &[i32], scale: f32) {
-        // SAFETY: dispatch verified NEON support.
-        unsafe { scale_i32_f32_neon_impl(dst, src, scale) }
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn scale_i32_f32_neon_impl(dst: &mut [f32], src: &[i32], scale: f32) {
-        let n = dst.len();
-        let (d, s) = (dst.as_mut_ptr(), src.as_ptr());
-        let mut i = 0;
-        while i + 4 <= n {
-            let v = vcvtq_f32_s32(vld1q_s32(s.add(i)));
-            vst1q_f32(d.add(i), vmulq_n_f32(v, scale));
-            i += 4;
-        }
-        scale_i32_f32_scalar(&mut dst[i..], &src[i..], scale);
+    pub mod engines {
+        engine_instances!("neon");
     }
 }
 
@@ -1492,24 +1638,103 @@ mod tests {
                 assert!((a - b).abs() <= 1e-5, "axpy_f32 drift at n={n}");
             }
 
-            let mut u1: Vec<f32> = (0..n).map(|i| i as f32 * 0.11).collect();
-            let mut u2 = u1.clone();
-            axpy_f32_unfused(&mut u1, 1.625, &src_f);
-            axpy_f32_scalar(&mut u2, 1.625, &src_f);
-            assert_eq!(u1, u2, "axpy_f32_unfused must be bit-identical, n={n}");
+            // The hand-factored `Bᵀ` passes against the matrix product, on
+            // every variant: `i8` and `i16` lanes, F2 and F4, an offset
+            // destination with a row stride wider than the lanes.
+            for v in available() {
+                for (t, bt) in [(4, &BT_F2[..]), (6, &BT_F4[..])] {
+                    let rows8: Vec<Vec<i8>> = (0..t)
+                        .map(|k| {
+                            (0..n)
+                                .map(|i| ((i * 37 + k * 101) % 256) as u8 as i8)
+                                .collect()
+                        })
+                        .collect();
+                    let rows16: Vec<Vec<i16>> = (0..t)
+                        .map(|k| {
+                            (0..n)
+                                .map(|i| ((i * 331 + k * 977) % 2561) as i16 - 1280)
+                                .collect()
+                        })
+                        .collect();
+                    let stride = n + 3;
+                    let want = |at: &dyn Fn(usize, usize) -> i32| -> Vec<i16> {
+                        let mut w = vec![-7_i16; t * stride + 1];
+                        for r in 0..t {
+                            for i in 0..n {
+                                let sum: i32 = (0..t).map(|k| bt[r * t + k] * at(k, i)).sum();
+                                w[1 + r * stride + i] = sum as i16;
+                            }
+                        }
+                        w
+                    };
+                    let mut got = vec![-7_i16; t * stride + 1];
+                    let src: Vec<&[i8]> = rows8.iter().map(|r| &r[..]).collect();
+                    wino_bt_pass_with(v, &src, &mut got[1..], stride);
+                    let want8 = want(&|k, i| i32::from(rows8[k][i]));
+                    assert_eq!(got, want8, "bt pass i8 t={t} {} n={n}", v.name());
+                    let mut got = vec![-7_i16; t * stride + 1];
+                    let src: Vec<&[i16]> = rows16.iter().map(|r| &r[..]).collect();
+                    wino_bt_pass_with(v, &src, &mut got[1..], stride);
+                    let want16 = want(&|k, i| i32::from(rows16[k][i]));
+                    assert_eq!(got, want16, "bt pass i16 t={t} {} n={n}", v.name());
+                }
+            }
+        }
+    }
 
-            let src_i: Vec<i32> = (0..n).map(|i| i as i32 * 7 - 50).collect();
-            let mut i1: Vec<i32> = (0..n).map(|i| i as i32).collect();
-            let mut i2 = i1.clone();
-            axpy_i32(&mut i1, -3, &src_i);
-            axpy_i32_scalar(&mut i2, -3, &src_i);
-            assert_eq!(i1, i2, "axpy_i32 must be exact, n={n}");
+    /// `Bᵀ` of F(2×2, 3×3) and F(4×4, 3×3), row-major.
+    const BT_F2: [i32; 16] = [1, 0, -1, 0, 0, 1, 1, 0, 0, -1, 1, 0, 0, 1, 0, -1];
+    #[rustfmt::skip]
+    const BT_F4: [i32; 36] = [
+        4, 0, -5, 0, 1, 0,
+        0, -4, -4, 1, 1, 0,
+        0, 4, -4, -1, 1, 0,
+        0, -2, -1, 2, 1, 0,
+        0, 2, -1, -2, 1, 0,
+        0, 4, 0, -5, 0, 1,
+    ];
 
-            let mut f1 = vec![0.0_f32; n];
-            let mut f2 = vec![0.0_f32; n];
-            scale_i32_f32(&mut f1, &src_i, 0.03125);
-            scale_i32_f32_scalar(&mut f2, &src_i, 0.03125);
-            assert_eq!(f1, f2, "scale_i32_f32 must be bit-identical, n={n}");
+    #[test]
+    fn deinterleave_matches_strided_copies_on_aligned_and_unaligned_rows() {
+        for v in available() {
+            for m in [2usize, 4] {
+                let t = m + 2;
+                for tiles in [1usize, 4, 14, 16, 17, 40] {
+                    let row_len = (tiles.next_multiple_of(DEINTERLEAVE_LANES) + 1) * m;
+                    let stride = 2 * tiles + DEINTERLEAVE_LANES;
+                    // `skew` 1 starts every row one element off its alignment.
+                    for skew in [0usize, 1] {
+                        let backing: Vec<u64> = (0..t * row_len / 4 + 2)
+                            .map(|i| (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+                            .collect();
+                        // SAFETY: any bits are a valid `i16`.
+                        let (_, all, _) = unsafe { backing.align_to::<i16>() };
+                        let rows = &all[skew..][..t * row_len];
+                        let mut got = vec![0_i16; t * t * stride];
+                        // The second strip's lanes, behind a first strip's.
+                        let at = TileLanes {
+                            m,
+                            tiles,
+                            row_len,
+                            stride,
+                        };
+                        wino_deinterleave_with(v, rows, &mut got[tiles..], at);
+                        for r in 0..t {
+                            for dx in 0..t {
+                                for tx in 0..tiles {
+                                    assert_eq!(
+                                        got[(r * t + dx) * stride + tiles + tx],
+                                        rows[r * row_len + tx * m + dx],
+                                        "{} m={m} tiles={tiles} skew={skew} r={r} dx={dx} tx={tx}",
+                                        v.name()
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -1529,7 +1754,9 @@ mod tests {
                     _ => (i as f32).sin() * 40.0,
                 })
                 .collect();
-            let src_i: Vec<i32> = (0..n).map(|i| (i as i32 * 997 - 3000) % 20000).collect();
+            let src_i: Vec<i16> = (0..n)
+                .map(|i| ((i as i32 * 997 - 3000) % 20000) as i16)
+                .collect();
             for v in available() {
                 let mut q8 = vec![0_i8; n];
                 let mut q8_ref = vec![0_i8; n];
@@ -1541,11 +1768,16 @@ mod tests {
                 quantize_f32_i8_scalar(&mut q8_ref, &src_f, 0.25, 0.0, 0, 127);
                 assert_eq!(q8, q8_ref, "quantize_f32_i8 relu {} n={n}", v.name());
 
-                let mut q16 = vec![0_i16; n];
-                let mut q16_ref = vec![0_i16; n];
-                quantize_i32_i16_with(v, &mut q16, &src_i, 37.5, -512, 511);
-                quantize_i32_i16_scalar(&mut q16_ref, &src_i, 37.5, -512, 511);
-                assert_eq!(q16, q16_ref, "quantize_i32_i16 {} n={n}", v.name());
+                // A general scale divides, a power-of-two one multiplies by
+                // its reciprocal: the same codes either way.
+                for scale in [37.5_f32, 32.0, 0.25] {
+                    let slot = PanelSlot::CONTIGUOUS;
+                    let mut q16 = vec![0_i16; n];
+                    let mut q16_ref = vec![0_i16; n];
+                    quantize_i16_i16_panel_with(v, &mut q16, &src_i, scale, -512, 511, false, slot);
+                    quantize_panel_scalar(&mut q16_ref, &src_i, scale, -512, 511, false, slot);
+                    assert_eq!(q16, q16_ref, "quantize i16 /{scale} {} n={n}", v.name());
+                }
 
                 let mut r = vec![0.0_f32; n];
                 let mut r_ref = vec![0.0_f32; n];

@@ -13,16 +13,20 @@
 //! is exercised end to end through a `GraphExecutor` run against the direct
 //! reference. The packed-once weight operand (`PackedWeights`, both sides)
 //! and the panel-writing quantizer that feeds it are property-tested against
-//! the scalar pack-per-call reference for every variant.
+//! the scalar pack-per-call reference for every variant, and so are the
+//! integer pipeline's transform engines: the fused input stage against a
+//! generic `i32` `Bᵀ·d·B` per tile, the register-blocked output stage against
+//! the row-at-a-time scale + unfused-axpy sequence it replaced.
 
 use proptest::prelude::*;
-use winograd_tapwise::wino_core::{GraphExecutor, GraphRunOptions};
+use winograd_tapwise::wino_core::int_winograd::InputStage;
+use winograd_tapwise::wino_core::{GraphExecutor, GraphRunOptions, TileSize, WinogradMatrices};
 use winograd_tapwise::wino_nets::{ConvLayer, GraphBuilder};
 use winograd_tapwise::wino_tensor::{
     gemm_f32_into_with, gemm_i16_i32_into_with, gemm_i8_i32_into_with, gemm_packed_i32_into,
     normal, simd,
-    simd::{KernelVariant, PanelSlot},
-    PackedCode, PackedWeights,
+    simd::{KernelVariant, OutputLanes, PanelSlot},
+    PackedCode, PackedWeights, PanelLayout,
 };
 
 /// Shapes straddling every microkernel edge: sub-MR thin rows (m ≤ 4, the
@@ -280,8 +284,225 @@ fn assert_packed_matches<T: PackedCode + std::fmt::Debug>(
     Ok(())
 }
 
+/// The test-only oracle of the fused input stage: every tile of `strips`
+/// gathered with zero padding, transformed with the generic `i32`
+/// `Bᵀ · d · B` matrix products, requantized with the canonical expression
+/// and put where `layout` keeps channel `ci` of that tile.
+#[allow(clippy::too_many_arguments)]
+fn input_stage_oracle<T: PackedCode + TryFrom<i32>>(
+    x: &[i8],
+    [_, c_in, h, w]: [usize; 4],
+    tile: TileSize,
+    strips: std::ops::Range<usize>,
+    layout: PanelLayout,
+    flip: bool,
+    scales: &[f32],
+    (lo, hi): (i32, i32),
+) -> Vec<T> {
+    let (m, t) = (tile.output_tile(), tile.input_tile());
+    let bt: Vec<i32> = WinogradMatrices::for_tile(tile)
+        .bt
+        .as_slice()
+        .iter()
+        .map(|&v| v as i32)
+        .collect();
+    let (tiles_h, tiles_w) = (h.div_ceil(m), w.div_ceil(m));
+    let ntiles = strips.len() * tiles_w;
+    let v_tap = layout.elems(c_in, ntiles);
+    let mut v = vec![T::default(); t * t * v_tap];
+    for (si, s) in strips.enumerate() {
+        let (ni, ty) = (s / tiles_h, s % tiles_h);
+        for tx in 0..tiles_w {
+            for ci in 0..c_in {
+                let d = |dy: usize, dx: usize| {
+                    let (iy, ix) = ((ty * m + dy).wrapping_sub(1), (tx * m + dx).wrapping_sub(1));
+                    if iy < h && ix < w {
+                        i32::from(x[((ni * c_in + ci) * h + iy) * w + ix])
+                    } else {
+                        0
+                    }
+                };
+                for r in 0..t {
+                    for c in 0..t {
+                        let mut sum = 0_i32;
+                        for dy in 0..t {
+                            for dx in 0..t {
+                                sum += bt[r * t + dy] * d(dy, dx) * bt[c * t + dx];
+                            }
+                        }
+                        let tap = r * t + c;
+                        let code = (sum as f32 / scales[tap])
+                            .round_ties_even()
+                            .max(lo as f32)
+                            .min(hi as f32) as i32;
+                        let code = T::try_from(code).ok().expect("code fits its type");
+                        v[tap * v_tap + layout.index(c_in, ci, si * tiles_w + tx)] =
+                            if flip { code.flip() } else { code };
+                    }
+                }
+            }
+        }
+    }
+    v
+}
+
+/// The output stage as the pipeline ran it before the register-blocked
+/// kernel: one rescale pass per tap, then both `Aᵀ` stages as row-at-a-time
+/// `dst += coeff · src` passes — each sum starting from `+0.0`, zero
+/// coefficients skipped, multiply and add rounded separately. `out[rc][lane]`.
+fn output_stage_oracle(
+    tile: TileSize,
+    acc: &[i32],
+    tap_stride: usize,
+    n: usize,
+    sbg: &[f32],
+) -> Vec<f32> {
+    let (m, t) = (tile.output_tile(), tile.input_tile());
+    let mats = WinogradMatrices::for_tile(tile);
+    let at = mats.at.as_slice();
+    let mut ea = vec![0.0_f32; t * t * n];
+    for tap in 0..t * t {
+        for i in 0..n {
+            ea[tap * n + i] = acc[tap * tap_stride + i] as f32 * sbg[tap];
+        }
+    }
+    let axpy = |dst: &mut [f32], coeff: f32, src: &[f32]| {
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d += coeff * s;
+        }
+    };
+    let mut eb = vec![0.0_f32; m * t * n];
+    for r in 0..m {
+        for c in 0..t {
+            for k in 0..t {
+                if at[r * t + k] != 0.0 {
+                    let src = &ea[(k * t + c) * n..][..n];
+                    axpy(&mut eb[(r * t + c) * n..][..n], at[r * t + k], src);
+                }
+            }
+        }
+    }
+    let mut out = vec![0.0_f32; m * m * n];
+    for r in 0..m {
+        for c in 0..m {
+            for k in 0..t {
+                if at[c * t + k] != 0.0 {
+                    let src = &eb[(r * t + k) * n..][..n];
+                    axpy(&mut out[(r * m + c) * n..][..n], at[c * t + k], src);
+                }
+            }
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The fused input stage — NCHW rows in, GEMM panels out — produces
+    /// exactly the oracle's codes at exactly the layout's positions on every
+    /// variant: F2 and F4, `i8` and `i16` codes, sign flip on and off, both
+    /// packed sides (tile lanes into the `B` panels, channel lanes into the
+    /// `A` panels), ragged `H ≠ W` down to images smaller than a tile,
+    /// batches, strip groups starting and ending anywhere, power-of-two and
+    /// general tap scales, and inputs pinned at −128 / 127.
+    #[test]
+    fn fused_input_stage_matches_the_generic_transform_on_every_variant(
+        f4 in 0usize..2,
+        n in 1usize..4,
+        c_in in 1usize..11,
+        h in 1usize..15,
+        w in 1usize..23,
+        lane_channels in 0usize..2,
+        flip in 0usize..2,
+        first in 0usize..100,
+        len in 1usize..100,
+        seed in 0u64..1000,
+    ) {
+        let tile = [TileSize::F2, TileSize::F4][f4];
+        let (lane_channels, flip) = (lane_channels == 1, flip == 1);
+        let dims = [n, c_in, h, w];
+        let x: Vec<i8> =
+            pinned_codes(n * c_in * h * w, seed, -128, 127).iter().map(|&v| v as i8).collect();
+        let all_strips = n * h.div_ceil(tile.output_tile());
+        let first = first % all_strips;
+        let strips = first..first + 1 + (len - 1) % (all_strips - first);
+        let scales: Vec<f32> = (0..tile.taps())
+            .map(|tap| match mix(seed ^ 0x5ca1e, tap) % 3 {
+                0 => 2.0_f32.powi((mix(seed, tap) % 9) as i32 - 2),
+                _ => 0.3 + (mix(seed, tap) % 4000) as f32 * 0.01,
+            })
+            .collect();
+        for variant in simd::available() {
+            let stage = |layout, clamp| InputStage {
+                variant,
+                x: &x,
+                dims,
+                m: tile.output_tile(),
+                lane_channels,
+                layout,
+                flip,
+                scales: &scales,
+                clamp,
+            };
+            let side = |(a, b): (PanelLayout, PanelLayout)| if lane_channels { a } else { b };
+            let (layout, clamp) = (side(i8::layouts(variant)), (-128, 127));
+            let got: Vec<i8> = stage(layout, clamp).codes(strips.clone());
+            let want = input_stage_oracle(&x, dims, tile, strips.clone(), layout, flip, &scales, clamp);
+            prop_assert_eq!(got, want);
+            let (layout, clamp) = (side(i16::layouts(variant)), (-512, 511));
+            let got: Vec<i16> = stage(layout, clamp).codes(strips.clone());
+            let want = input_stage_oracle(&x, dims, tile, strips.clone(), layout, flip, &scales, clamp);
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    /// The register-blocked output stage has the bits of the row-at-a-time
+    /// sequence on every variant — lane counts around every block size,
+    /// contiguous lane rows (tile lanes) and strided ones (channel lanes),
+    /// zero accumulators under negative scales (`-0.0` products, which a sum
+    /// started from its first term instead of `+0.0` would get wrong).
+    #[test]
+    fn output_stage_matches_the_row_at_a_time_sequence_on_every_variant(
+        f4 in 0usize..2,
+        n in 1usize..70,
+        pad in 0usize..3,
+        strided in 0usize..2,
+        seed in 0u64..1000,
+    ) {
+        let tile = [TileSize::F2, TileSize::F4][f4];
+        let (t, m) = (tile.input_tile(), tile.output_tile());
+        let tap_stride = n + pad;
+        // A quarter of the lanes are all-zero tiles, a fifth of the other
+        // accumulators lone zeros.
+        let acc: Vec<i32> = (0..t * t * tap_stride)
+            .map(|i| match (mix(seed ^ 0x1a9e, i % tap_stride) % 4, mix(seed, i) % 5) {
+                (0, _) | (_, 0) => 0,
+                _ => (mix(seed ^ 0xacc, i) % 2_000_001) as i32 - 1_000_000,
+            })
+            .collect();
+        let sbg: Vec<f32> = (0..t * t)
+            .map(|tap| {
+                let s = 2.0_f32.powi(-((mix(seed, tap) % 12) as i32)) * 1.37;
+                if mix(seed ^ 0x516, tap).is_multiple_of(3) { -s } else { s }
+            })
+            .collect();
+        let want = output_stage_oracle(tile, &acc, tap_stride, n, &sbg);
+        // Contiguous: `out[rc][lane]`. Strided: `out[lane][rc][slot]`, this
+        // call filling `slot` 1 of 3 (another tile's lanes sit beside it).
+        let (lane_stride, rc_stride, base) = if strided == 1 { (m * m * 3, 3, 1) } else { (1, n + pad, 0) };
+        let lanes = OutputLanes { t, n, tap_stride, lane_stride, rc_stride };
+        for variant in simd::available() {
+            let mut got = vec![f32::NAN; base + (n - 1) * lane_stride + (m * m - 1) * rc_stride + 1];
+            simd::wino_output_stage_with(variant, &acc, &sbg, &mut got[base..], lanes);
+            for rc in 0..m * m {
+                for i in 0..n {
+                    let g = got[base + rc * rc_stride + i * lane_stride];
+                    prop_assert_eq!(g.to_bits(), want[rc * n + i].to_bits());
+                }
+            }
+        }
+    }
 
     /// The packed-once GEMM — left- and right-packed, `i8` and `i16` — is
     /// bit-identical to the scalar pack-per-call reference on every variant:
@@ -325,20 +546,24 @@ proptest! {
     ) {
         let (width, group, flip) = ([8, 16][width_sel], [1, 2, 4][group_sel], flip_sel == 1);
         let slot = PanelSlot { width, group, chunk_stride: 5 * width * group, g: g_seed % group };
-        let src: Vec<i32> = (0..lanes).map(|i| (mix(seed, i) % 40_001) as i32 - 20_000).collect();
+        // A general scale (divided by) or a power of two (multiplied by its
+        // exact reciprocal): the codes must not tell the difference.
+        let (s8, s16) = [(37.5, 9.25), (64.0, 0.5)][seed as usize % 2];
+        let src: Vec<i16> =
+            (0..lanes).map(|i| ((mix(seed, i) % 40_001) as i32 - 20_000) as i16).collect();
         let len = lanes.div_ceil(width) * slot.chunk_stride + 3;
         for variant in simd::available() {
             let mut got8 = vec![0x33_i8; len];
-            simd::quantize_i32_i8_panel_with(variant, &mut got8, &src, 37.5, -128, 127, flip, slot);
+            simd::quantize_i16_i8_panel_with(variant, &mut got8, &src, s8, -128, 127, flip, slot);
             let mut got16 = vec![0x3333_i16; len];
-            simd::quantize_i32_i16_panel_with(variant, &mut got16, &src, 9.25, -512, 511, flip, slot);
+            simd::quantize_i16_i16_panel_with(variant, &mut got16, &src, s16, -512, 511, flip, slot);
             let mut want8 = vec![0x33_i8; len];
             let mut want16 = vec![0x3333_i16; len];
             for (j, &s) in src.iter().enumerate() {
                 let q = |scale: f32, lo: f32, hi: f32| {
-                    (s as f32 / scale).round_ties_even().max(lo).min(hi) as i32
+                    (f32::from(s) / scale).round_ties_even().max(lo).min(hi) as i32
                 };
-                let (c8, c16) = (q(37.5, -128.0, 127.0) as i8, q(9.25, -512.0, 511.0) as i16);
+                let (c8, c16) = (q(s8, -128.0, 127.0) as i8, q(s16, -512.0, 511.0) as i16);
                 want8[slot.offset(j)] = if flip { c8.flip() } else { c8 };
                 want16[slot.offset(j)] = if flip { c16.flip() } else { c16 };
             }

@@ -14,7 +14,7 @@ use winograd_tapwise::wino_core::{
     TapwiseScales, TileSize, WinogradMatrices, WinogradQuantConfig,
 };
 use winograd_tapwise::wino_nets::{resnet20_graph, ConvLayer, GraphBuilder};
-use winograd_tapwise::wino_tensor::{conv2d_direct, normal, ConvParams, Tensor};
+use winograd_tapwise::wino_tensor::{conv2d_direct, normal, set_max_threads, ConvParams, Tensor};
 
 /// Random layer geometries spanning the microkernel edge cases: channel
 /// counts off the MR/NR grid, spatial sizes that are not tile multiples,
@@ -74,40 +74,55 @@ fn int_tap_major_is_bit_identical_to_per_tile_on_random_shapes() {
 }
 
 /// `forward` against `forward_per_tile` on one layer geometry: random
-/// weights, calibrated tap-wise scales, the given batch sizes.
-fn assert_int_forward_matches_per_tile(c: usize, hw: usize, bits: u8, batches: &[usize]) {
+/// weights, calibrated tap-wise scales, the given batch sizes, on one worker
+/// thread and on two (the strip groups are the parallel work items).
+fn assert_int_forward_matches_per_tile(
+    c: usize,
+    (h, w): (usize, usize),
+    bits: u8,
+    batches: &[usize],
+) {
     let wt = normal(&[c, c, 3, 3], 0.0, 0.2, 9100 + c as u64);
     let cfg = WinogradQuantConfig::tapwise_po2(TileSize::F4, bits);
     let mats = WinogradMatrices::for_tile(TileSize::F4);
-    let calib = normal(&[1, c, hw, hw], 0.0, 1.0, 9200 + c as u64);
+    let calib = normal(&[1, c, h, w], 0.0, 1.0, 9200 + c as u64);
     let scales = TapwiseScales::calibrate(&wt, &calib, &mats, cfg.wino_bits, cfg.mode);
     let xp = QuantParams::from_max(calib.abs_max(), cfg.spatial_bits).to_power_of_two();
     let conv = IntWinogradConv::prepare(&wt, &scales, xp, 8.0, cfg);
     for &n in batches {
-        let x = normal(&[n, c, hw, hw], 0.0, 1.0, 9300 + (c + n) as u64);
+        let x = normal(&[n, c, h, w], 0.0, 1.0, 9300 + (c + n) as u64);
         let xq: Tensor<i8> = x.map(|v| xp.quantize(v) as i8);
-        assert_eq!(
-            conv.forward(&xq),
-            conv.forward_per_tile(&xq),
-            "int{bits} {c}x{c}x{hw} batch {n}: tap-major codes drifted"
-        );
+        let reference = conv.forward_per_tile(&xq);
+        for threads in [1, 2] {
+            set_max_threads(threads);
+            let fast = conv.forward(&xq);
+            set_max_threads(0);
+            assert_eq!(
+                fast, reference,
+                "int{bits} {c}x{c}x{h}x{w} batch {n}, {threads} thread(s): tap-major codes drifted"
+            );
+        }
     }
 }
 
-/// ResNet-34's four 3×3 layer geometries as `(channels, height = width,
-/// batch sizes)`.
-const RESNET34_GEOMETRIES: [(usize, usize, &[usize]); 4] = [
-    (64, 56, &[1]),
-    (128, 28, &[1]),
-    (256, 14, &[1]),
-    (512, 7, &[1, 2]),
+/// ResNet-34's four 3×3 layer geometries, and a ragged image whose height
+/// and width are different non-multiples of the tile, as `(channels,
+/// (height, width), batch sizes)`.
+const RESNET34_GEOMETRIES: [(usize, (usize, usize), &[usize]); 5] = [
+    (64, (56, 56), &[1]),
+    (128, (28, 28), &[1]),
+    (256, (14, 14), &[1]),
+    (512, (7, 7), &[1, 2]),
+    (24, (9, 13), &[1, 3]),
 ];
 
 /// The four ResNet-34 3×3 geometries at 8 Winograd-domain bits — the `i8`
 /// codes and weights packed at prepare — bit-identical to the per-tile
 /// reference. 64×56 splits into two strip groups with a ragged last column
-/// panel; 7×7 runs channel-laned at batch 1 (4 tiles) and flips to
-/// tile-laned at batch 2 (8 tiles) on the same prepared layer.
+/// panel; 7×7 lanes both transforms and the tap GEMMs over channels at
+/// batch 1 (4 tiles) and flips to tile lanes at batch 2 (8 tiles) on the
+/// same prepared layer; 9×13 leaves a one-row last strip and a one-column
+/// last tile.
 #[test]
 fn int8_forward_is_bit_identical_to_per_tile_on_resnet34_geometries() {
     for (c, hw, batches) in RESNET34_GEOMETRIES {
@@ -189,6 +204,12 @@ fn scratch_accounting_is_reported_for_winograd_graphs() {
         p.scratch_bytes() > 0,
         "winograd nodes must report tap-major scratch"
     );
+    // An integer graph is sized for the larger of the two pipelines: its
+    // code panels and `i16` transform lanes are narrower than the float
+    // panels and its `M` panel is never doubled, so the figure is the same.
+    let quantized = GraphExecutor::quantized(WinogradQuantConfig::default());
+    let pq = quantized.prepare(&graph, &GraphRunOptions::default());
+    assert_eq!(pq.scratch_bytes(), p.scratch_bytes());
     // The reference executor runs everything direct: no tap-major scratch.
     let reference = GraphExecutor::reference();
     let pr = reference.prepare(&graph, &GraphRunOptions::default());
