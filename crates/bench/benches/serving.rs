@@ -1,5 +1,6 @@
-//! Criterion benchmarks of the batched inference server: end-to-end request
-//! cost through queue → scheduler → worker → reply at batch sizes 1/4/8 and
+//! Criterion benchmarks of in-process batched serving (a one-model
+//! `ModelRegistry` under a `RegistryServer` pool): end-to-end request cost
+//! through queue → scheduler → worker → reply at batch sizes 1/4/8 and
 //! pool widths 1/2, against the raw single-threaded executor as the
 //! no-serving-overhead floor. Each iteration submits one batch-worth of
 //! single-image requests and waits for every reply, so the measured time is
@@ -10,7 +11,9 @@ use std::sync::Arc;
 use std::time::Duration;
 use wino_core::{GraphExecutor, GraphRunOptions};
 use wino_nets::resnet20_graph;
-use wino_serve::{BatchPolicy, InferenceServer, ServerConfig};
+use wino_serve::{
+    AdmissionControl, BatchPolicy, ModelReply, ModelServeConfig, RegistryBuilder, RegistryServer,
+};
 use wino_tensor::normal;
 
 fn bench_serve_throughput(c: &mut Criterion) {
@@ -30,22 +33,24 @@ fn bench_serve_throughput(c: &mut Criterion) {
 
     for &workers in &[1usize, 2] {
         for &batch in &[1usize, 4, 8] {
-            let server = InferenceServer::start(
-                Arc::clone(&exec),
-                Arc::clone(&prepared),
-                ServerConfig {
-                    workers,
-                    policy: BatchPolicy {
-                        max_batch: batch,
-                        // Tight deadline: iterations submit full batches, so
-                        // the flush timer should almost never be the trigger.
-                        max_wait: Duration::from_micros(500),
-                    },
-                    warmup: true,
-                    restart_budget: 3,
+            let config = ModelServeConfig {
+                policy: BatchPolicy {
+                    max_batch: batch,
+                    // Tight deadline: iterations submit full batches, so
+                    // the flush timer should almost never be the trigger.
+                    max_wait: Duration::from_micros(500),
                 },
-            );
-            let client = server.client();
+                // Never shed: every row times served requests only.
+                admission: AdmissionControl {
+                    deadline: Duration::from_secs(60),
+                    ..AdmissionControl::default()
+                },
+                ..ModelServeConfig::default()
+            };
+            let registry = RegistryBuilder::new()
+                .model("m", Arc::clone(&exec), Arc::clone(&prepared), config)
+                .build();
+            let server = RegistryServer::start(Arc::clone(&registry), workers);
             let inputs: Vec<_> = (0..batch as u64)
                 .map(|i| normal(&[1, 1, 32, 32], 0.0, 1.0, 10 + i))
                 .collect();
@@ -53,14 +58,17 @@ fn bench_serve_throughput(c: &mut Criterion) {
                 b.iter(|| {
                     let pending: Vec<_> = inputs
                         .iter()
-                        .map(|x| client.submit(vec![x.clone()]))
+                        .map(|x| registry.submit("m", vec![x.clone()]).expect("accepted"))
                         .collect();
-                    pending.into_iter().map(|p| p.wait()).collect::<Vec<_>>()
+                    pending
+                        .into_iter()
+                        .map(|p| p.wait().and_then(ModelReply::ok).expect("served"))
+                        .collect::<Vec<_>>()
                 })
             });
             let report = server.shutdown();
             assert!(
-                report.max_batch_observed() <= batch,
+                report.model("m").unwrap().max_batch_observed() <= batch,
                 "batches exceeded the configured cap"
             );
         }

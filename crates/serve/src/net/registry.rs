@@ -31,7 +31,6 @@
 
 use crate::net::protocol::ModelStatsEntry;
 use crate::scheduler::{Batch, BatchPolicy, BatchScheduler};
-use crate::server::InferenceReply;
 use crate::stats::{MultiModelReport, ServerStats};
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -130,6 +129,25 @@ impl std::fmt::Display for SubmitError {
 }
 
 impl std::error::Error for SubmitError {}
+
+/// A completed inference.
+#[derive(Debug, Clone, PartialEq)]
+pub struct InferenceReply {
+    /// The graph's outputs for this request's images, in output-node order.
+    pub outputs: Vec<(String, Tensor<f32>)>,
+    /// Submit-to-reply latency.
+    pub latency: Duration,
+    /// Images in the coalesced batch this request rode in (> its own image
+    /// count when dynamic batching merged it with neighbours).
+    pub batch_images: usize,
+}
+
+impl InferenceReply {
+    /// The output tensor of the output node with the given name.
+    pub fn output(&self, name: &str) -> Option<&Tensor<f32>> {
+        self.outputs.iter().find(|(n, _)| n == name).map(|(_, t)| t)
+    }
+}
 
 /// The terminal outcome of an accepted (queued) request.
 #[derive(Debug, Clone, PartialEq)]
@@ -239,9 +257,9 @@ impl RegistryBuilder {
     }
 
     /// Registers a model with frozen (or trivially absent) calibration. An
-    /// uncalibrated quantized graph is warmed on its synthesized batch here,
-    /// exactly like [`crate::InferenceServer::start`] — by build time every
-    /// model's prepared state is immutable.
+    /// uncalibrated quantized graph is warmed on its synthesized batch here
+    /// (see [`GraphExecutor::warmup`]) — by build time every model's prepared
+    /// state is immutable.
     ///
     /// # Panics
     ///
@@ -298,6 +316,10 @@ impl RegistryBuilder {
             "duplicate model name {name:?}"
         );
         assert!(config.weight >= 1, "model weight must be >= 1");
+        assert!(
+            config.admission.max_queue >= 1,
+            "admission max_queue must be >= 1"
+        );
         stats.set_fusion(prepared.fused_node_count(), prepared.elided_bytes());
         stats.set_kernel(prepared.simd_kernel());
         stats.set_scratch_bytes(prepared.scratch_bytes());
@@ -395,10 +417,10 @@ impl ModelRegistry {
 
     /// Validates and enqueues one request against the named model.
     ///
-    /// Unlike [`crate::ServeClient::submit`], nothing here panics: every
-    /// refusal is a typed [`SubmitError`], because over the network a bad
-    /// request is the *peer's* bug and must come back as a reply, not take
-    /// down a handler.
+    /// Nothing here panics: every refusal is a typed [`SubmitError`], because
+    /// over the network a bad request is the *peer's* bug and must come back
+    /// as a reply, not take down a handler — and an in-process caller gets
+    /// the same typed answer.
     pub fn submit(
         &self,
         model: &str,
@@ -579,7 +601,8 @@ impl ModelRegistry {
     }
 }
 
-/// Non-panicking mirror of the `ServeClient::submit` shape checks.
+/// The request-shape checks of [`ModelRegistry::submit`]: tensor count,
+/// rank, per-image shape and one shared non-zero batch size.
 fn validate_inputs(prepared: &PreparedGraph, inputs: &[Tensor<f32>]) -> Result<(), String> {
     let graph = prepared.graph();
     let input_ids = graph.input_ids();
@@ -885,6 +908,113 @@ mod tests {
         let executor = Arc::new(GraphExecutor::with_defaults());
         let prepared = Arc::new(executor.prepare(&graph, &GraphRunOptions::default()));
         RegistryBuilder::new().model(name, executor, prepared, ModelServeConfig::default())
+    }
+
+    /// A one-model registry ("m") over a small FP32 ResNet-20, served by
+    /// `workers` threads. The 60 s deadline keeps a slow build from ever
+    /// shedding a request.
+    fn small_pool(workers: usize, max_batch: usize) -> (RegistryServer, Arc<ModelRegistry>) {
+        let graph = resnet20_graph().with_channel_div(4);
+        let executor = Arc::new(GraphExecutor::with_defaults());
+        let prepared = Arc::new(executor.prepare(&graph, &GraphRunOptions::default()));
+        let config = ModelServeConfig {
+            policy: BatchPolicy {
+                max_batch,
+                max_wait: Duration::from_millis(1),
+            },
+            admission: AdmissionControl {
+                deadline: Duration::from_secs(60),
+                ..AdmissionControl::default()
+            },
+            ..ModelServeConfig::default()
+        };
+        let registry = RegistryBuilder::new()
+            .model("m", executor, prepared, config)
+            .build();
+        (
+            RegistryServer::start(Arc::clone(&registry), workers),
+            registry,
+        )
+    }
+
+    fn infer(registry: &ModelRegistry, x: Tensor<f32>) -> InferenceReply {
+        registry
+            .submit("m", vec![x])
+            .expect("accepted")
+            .wait()
+            .and_then(ModelReply::ok)
+            .expect("served")
+    }
+
+    #[test]
+    fn multi_image_requests_are_sliced_back_whole() {
+        let (server, registry) = small_pool(1, 4);
+        let reply = infer(&registry, normal(&[3, 1, 32, 32], 0.0, 1.0, 5));
+        assert_eq!(reply.outputs[0].1.dims()[0], 3);
+        assert_eq!(reply.batch_images, 3);
+        let _ = server.shutdown();
+    }
+
+    #[test]
+    fn a_rejected_submit_leaves_the_pool_serving() {
+        let (server, registry) = small_pool(1, 2);
+        let bad = normal(&[1, 1, 16, 16], 0.0, 1.0, 0);
+        assert!(
+            matches!(
+                registry.submit("m", vec![bad]).err(),
+                Some(SubmitError::BadShape(_))
+            ),
+            "bad shape must be refused at submit"
+        );
+        // The workers never saw the malformed request; service continues.
+        let reply = infer(&registry, normal(&[1, 1, 32, 32], 0.0, 1.0, 1));
+        assert_eq!(reply.outputs.len(), 1);
+        let report = server.shutdown();
+        assert_eq!(report.model("m").unwrap().requests, 1);
+    }
+
+    #[test]
+    fn submitting_after_shutdown_is_a_typed_refusal() {
+        let (server, registry) = small_pool(1, 2);
+        let _ = server.shutdown();
+        let x = normal(&[1, 1, 32, 32], 0.0, 1.0, 0);
+        assert_eq!(
+            registry.submit("m", vec![x]).err(),
+            Some(SubmitError::Shutdown)
+        );
+    }
+
+    #[test]
+    fn shutdown_report_folds_in_every_worker_arena() {
+        let (server, registry) = small_pool(2, 2);
+        for i in 0..8 {
+            let _ = infer(&registry, normal(&[1, 1, 32, 32], 0.0, 1.0, i));
+        }
+        let report = server.shutdown();
+        assert_eq!(report.pool.workers_reported, 2);
+        assert!(
+            report.pool.arena.runs >= 8 / 2,
+            "batches ran through the arenas"
+        );
+        let m = report.model("m").unwrap();
+        assert_eq!(m.requests, 8);
+        assert!(m.throughput_rps > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "max_queue must be >= 1")]
+    fn a_zero_queue_bound_is_refused_at_registration() {
+        let graph = resnet20_graph().with_channel_div(8);
+        let executor = Arc::new(GraphExecutor::with_defaults());
+        let prepared = Arc::new(executor.prepare(&graph, &GraphRunOptions::default()));
+        let config = ModelServeConfig {
+            admission: AdmissionControl {
+                max_queue: 0,
+                ..AdmissionControl::default()
+            },
+            ..ModelServeConfig::default()
+        };
+        let _ = RegistryBuilder::new().model("m", executor, prepared, config);
     }
 
     #[test]

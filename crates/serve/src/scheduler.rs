@@ -8,8 +8,9 @@
 //! has waited `max_wait`.
 //!
 //! [`BatchScheduler`] is generic over the queued item so the coalescing and
-//! deadline behaviour is testable with plain values; the server instantiates
-//! it with inference requests.
+//! deadline behaviour is testable with plain values; the registry (one queue
+//! of inference requests per model) and `NetServer`'s connection queue
+//! instantiate it.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};

@@ -1,10 +1,12 @@
-//! Smoke-runs the batched inference server: a quantized ResNet-20 prepared
-//! once, warmed up (calibration frozen before workers start), then hit with
-//! 64 single-image requests from four client threads against a 2-worker
+//! Smoke-runs in-process batched serving: a quantized ResNet-20 prepared
+//! once, warmed up (calibration frozen before workers start), registered as
+//! the only model of a `ModelRegistry`, then hit with 64 single-image
+//! requests from four client threads against a 2-worker `RegistryServer`
 //! pool. Asserts that every served output is bit-identical to the sequential
 //! quantized path and within the integer error bound of the direct-conv
 //! ground truth, that dynamic batching actually coalesced requests, and
-//! prints the latency/throughput stats table. Used as the CI serving check.
+//! prints the per-model latency table with the pooled arena line. Used as
+//! the CI serving check.
 //!
 //! ```sh
 //! cargo run --release --example serve_smoke
@@ -14,11 +16,14 @@ use std::sync::Arc;
 use std::time::Duration;
 use winograd_tapwise::wino_core::{GraphExecutor, GraphRunOptions, TileSize, WinogradQuantConfig};
 use winograd_tapwise::wino_nets::resnet20_graph;
-use winograd_tapwise::wino_serve::{BatchPolicy, InferenceServer, ServerConfig};
+use winograd_tapwise::wino_serve::{
+    AdmissionControl, BatchPolicy, ModelReply, ModelServeConfig, RegistryBuilder, RegistryServer,
+};
 use winograd_tapwise::wino_tensor::{normal, Tensor};
 
 const REQUESTS: usize = 64;
 const CLIENTS: usize = 4;
+const MODEL: &str = "resnet20";
 
 fn main() {
     let graph = resnet20_graph();
@@ -50,36 +55,47 @@ fn main() {
         })
         .collect();
 
-    let server = InferenceServer::start(
-        Arc::clone(&exec),
-        Arc::clone(&prepared),
-        ServerConfig {
-            workers: 2,
-            policy: BatchPolicy {
-                max_batch: 8,
-                max_wait: Duration::from_millis(2),
+    let registry = RegistryBuilder::new()
+        .model(
+            MODEL,
+            Arc::clone(&exec),
+            Arc::clone(&prepared),
+            ModelServeConfig {
+                policy: BatchPolicy {
+                    max_batch: 8,
+                    max_wait: Duration::from_millis(2),
+                },
+                // Every request is queued at once; none may be refused or
+                // shed, however slow the machine.
+                admission: AdmissionControl {
+                    max_queue: REQUESTS,
+                    deadline: Duration::from_secs(60),
+                },
+                ..ModelServeConfig::default()
             },
-            warmup: true, // no-op: calibrated above
-            restart_budget: 3,
-        },
-    );
+        )
+        .build();
+    let server = RegistryServer::start(Arc::clone(&registry), 2);
 
     // Four client threads hammer the queue concurrently so the scheduler
     // has something to coalesce.
     let handles: Vec<_> = cases
         .chunks(REQUESTS / CLIENTS)
         .map(|chunk| {
-            let client = server.client();
+            let registry = Arc::clone(&registry);
             let chunk = chunk.to_vec();
             std::thread::spawn(move || {
                 let pending: Vec<_> = chunk
                     .iter()
-                    .map(|(x, _, _)| client.submit(vec![x.clone()]))
+                    .map(|(x, _, _)| registry.submit(MODEL, vec![x.clone()]).expect("accepted"))
                     .collect();
                 pending
                     .into_iter()
                     .zip(chunk)
-                    .map(|(p, (_, quant, direct))| (p.wait(), quant, direct))
+                    .map(|(p, (_, quant, direct))| {
+                        let reply = p.wait().and_then(ModelReply::ok).expect("served");
+                        (reply, quant, direct)
+                    })
                     .collect::<Vec<_>>()
             })
         })
@@ -100,18 +116,19 @@ fn main() {
     print!("{}", report.render());
     println!("worst served-vs-direct relative error: {worst_err:.4}");
 
-    assert_eq!(report.requests, REQUESTS, "a request went unanswered");
-    assert_eq!(report.images, REQUESTS);
+    let model = report.model(MODEL).expect("the one registered model");
+    assert_eq!(model.requests, REQUESTS, "a request went unanswered");
+    assert_eq!(model.images, REQUESTS);
     assert!(
-        report.max_batch_observed() > 1,
+        model.max_batch_observed() > 1,
         "dynamic batching never coalesced (histogram {:?})",
-        report.batch_histogram
+        model.batch_histogram
     );
-    assert!(report.latency.p50 > Duration::ZERO);
-    assert!(report.latency.p99 >= report.latency.p50);
-    assert!(report.throughput_rps > 0.0);
-    assert_eq!(report.workers_reported, 2);
-    assert!(report.arena.runs >= report.batches);
+    assert!(model.latency.p50 > Duration::ZERO);
+    assert!(model.latency.p99 >= model.latency.p50);
+    assert!(model.throughput_rps > 0.0);
+    assert_eq!(report.pool.workers_reported, 2);
+    assert!(report.pool.arena.runs >= model.batches);
     assert!(worst_err < 0.25, "served error {worst_err} out of bounds");
     println!("serve smoke OK");
 }

@@ -26,12 +26,10 @@ use winograd_tapwise::wino_core::{
 use winograd_tapwise::wino_fault::{self, FaultPlan, FaultSpec};
 use winograd_tapwise::wino_nets::resnet20_graph;
 use winograd_tapwise::wino_serve::net::{
-    ErrorCode, ModelServeConfig, NetClient, NetResponse, NetServer, NetServerConfig,
-    RegistryBuilder, RegistryServer, RetryPolicy,
+    AdmissionControl, ErrorCode, ModelServeConfig, NetClient, NetResponse, NetServer,
+    NetServerConfig, RegistryBuilder, RegistryServer, RetryPolicy,
 };
-use winograd_tapwise::wino_serve::{
-    BatchPolicy, InferenceServer, ModelReply, ServeError, ServerConfig,
-};
+use winograd_tapwise::wino_serve::{BatchPolicy, ModelReply, SubmitError};
 use winograd_tapwise::wino_tensor::{normal, Tensor};
 
 /// Serializes every test in this file: the fault plan is process-global.
@@ -570,7 +568,8 @@ fn seeded_chaos_plans_replay_bit_for_bit() {
 
 /// Satellite (c): when the only worker dies past its restart budget with a
 /// queue full of waiters, every pending and in-flight request resolves with
-/// the typed error — nothing hangs, no waiter leaks.
+/// the typed error — nothing hangs, no waiter leaks — and the dead registry
+/// refuses later submits instead of queueing them forever.
 #[test]
 fn dead_pool_drains_pending_and_inflight_with_typed_errors() {
     let seed = chaos_seed();
@@ -581,30 +580,44 @@ fn dead_pool_drains_pending_and_inflight_with_typed_errors() {
         &resnet20_graph().with_channel_div(8),
         &GraphRunOptions::default(),
     ));
-    let server = InferenceServer::start(
-        Arc::clone(&executor),
-        Arc::clone(&prepared),
-        ServerConfig {
-            workers: 1,
-            policy: BatchPolicy {
-                max_batch: 2,
-                max_wait: Duration::from_millis(5),
+    let registry = RegistryBuilder::new()
+        .model(
+            "m",
+            executor,
+            prepared,
+            ModelServeConfig {
+                policy: BatchPolicy {
+                    max_batch: 2,
+                    max_wait: Duration::from_millis(5),
+                },
+                admission: AdmissionControl {
+                    deadline: Duration::from_secs(60),
+                    ..AdmissionControl::default()
+                },
+                ..ModelServeConfig::default()
             },
-            warmup: true,
-            restart_budget: 0, // the first panic is fatal to the pool
-        },
-    );
-    let client = server.client();
+        )
+        .build();
+    // Queue all six before the pool exists, so none of them can race the
+    // pool's death: the first batch of two is in flight when the worker
+    // dies, the other four are still pending.
     let pending: Vec<_> = (0..6)
-        .map(|i| client.submit(vec![probe(930 + i)]))
+        .map(|i| registry.submit("m", vec![probe(930 + i)]).expect("queued"))
         .collect();
+    // Budget 0: the first panic is fatal to the pool.
+    let server = RegistryServer::start_with_budget(Arc::clone(&registry), 1, 0);
     for (i, p) in pending.into_iter().enumerate() {
-        match p.result_timeout(Duration::from_secs(10)) {
-            Some(Err(ServeError::WorkerFailed)) => {}
+        match p.wait_timeout(Duration::from_secs(10)) {
+            Some(Some(ModelReply::WorkerFailed)) => {}
             other => panic!("waiter {i} leaked or got the wrong reply: {other:?}"),
         }
     }
-    let stats = server.stats();
+    assert_eq!(
+        registry.submit("m", vec![probe(940)]).err(),
+        Some(SubmitError::Shutdown),
+        "a drained registry must refuse new work"
+    );
+    let stats = registry.model_stats("m").unwrap();
     assert_eq!(stats.failed, 6, "all six must be typed failures");
     assert_eq!(stats.worker_restarts, 0, "budget 0 allows no revival");
     server.shutdown();

@@ -1,19 +1,24 @@
 //! The serving layer's end-to-end contract: worker threads sharing one
 //! prepared graph compute exactly the function the sequential path computes,
 //! the dynamic batcher actually coalesces, and calibration is frozen before
-//! any live request can race on it.
+//! any live request can race on it. Every test serves one model through a
+//! one-model `ModelRegistry` and its `RegistryServer` pool.
 
 use std::sync::Arc;
 use std::time::Duration;
-use winograd_tapwise::wino_core::{GraphExecutor, GraphRunOptions, TileSize, WinogradQuantConfig};
+use winograd_tapwise::wino_core::{
+    GraphExecutor, GraphRunOptions, PreparedGraph, TileSize, WinogradQuantConfig,
+};
 use winograd_tapwise::wino_nets::resnet20_graph;
-use winograd_tapwise::wino_serve::{BatchPolicy, InferenceServer, ServerConfig};
+use winograd_tapwise::wino_serve::{
+    AdmissionControl, BatchPolicy, InferenceReply, ModelRegistry, ModelReply, ModelServeConfig,
+    RegistryBuilder, RegistryServer,
+};
 use winograd_tapwise::wino_tensor::{normal, Tensor};
 
-fn quantized_pair() -> (
-    Arc<GraphExecutor>,
-    Arc<winograd_tapwise::wino_core::PreparedGraph>,
-) {
+const MODEL: &str = "resnet20";
+
+fn quantized_pair() -> (Arc<GraphExecutor>, Arc<PreparedGraph>) {
     let graph = resnet20_graph().with_channel_div(4);
     let exec = Arc::new(GraphExecutor::quantized(WinogradQuantConfig::tapwise_po2(
         TileSize::F4,
@@ -25,6 +30,42 @@ fn quantized_pair() -> (
 
 fn probe(seed: u64) -> Tensor<f32> {
     normal(&[1, 1, 32, 32], 0.0, 1.0, seed)
+}
+
+/// Registers `prepared` as the only model and starts `workers` threads on
+/// it. The 60 s deadline means a slow debug build never sheds a request, so
+/// every assertion below sees every request served.
+fn serve(
+    exec: Arc<GraphExecutor>,
+    prepared: Arc<PreparedGraph>,
+    workers: usize,
+    policy: BatchPolicy,
+) -> (RegistryServer, Arc<ModelRegistry>) {
+    let config = ModelServeConfig {
+        policy,
+        admission: AdmissionControl {
+            deadline: Duration::from_secs(60),
+            ..AdmissionControl::default()
+        },
+        ..ModelServeConfig::default()
+    };
+    let registry = RegistryBuilder::new()
+        .model(MODEL, exec, prepared, config)
+        .build();
+    (
+        RegistryServer::start(Arc::clone(&registry), workers),
+        registry,
+    )
+}
+
+/// Submits one request and blocks for its served reply.
+fn infer(registry: &ModelRegistry, x: Tensor<f32>) -> InferenceReply {
+    registry
+        .submit(MODEL, vec![x])
+        .expect("request refused")
+        .wait()
+        .and_then(ModelReply::ok)
+        .expect("request not served")
 }
 
 /// The headline concurrency contract: N worker threads sharing one
@@ -44,30 +85,26 @@ fn concurrent_workers_match_the_sequential_path_bitwise() {
         })
         .collect();
 
-    let server = InferenceServer::start(
+    let (server, registry) = serve(
         Arc::clone(&exec),
         Arc::clone(&prepared),
-        ServerConfig {
-            workers: 3,
-            policy: BatchPolicy {
-                max_batch: 4,
-                max_wait: Duration::from_millis(1),
-            },
-            warmup: true, // no-op: already calibrated above
-            restart_budget: 3,
+        3,
+        BatchPolicy {
+            max_batch: 4,
+            max_wait: Duration::from_millis(1),
         },
     );
     // Hammer the queue from four client threads at once.
     let handles: Vec<_> = cases
         .chunks(6)
         .map(|chunk| {
-            let client = server.client();
+            let registry = Arc::clone(&registry);
             let chunk = chunk.to_vec();
             std::thread::spawn(move || {
                 chunk
                     .into_iter()
-                    .map(|(x, want)| (client.submit(vec![x]), want))
-                    .map(|(pending, want)| (pending.wait(), want))
+                    .map(|(x, want)| (registry.submit(MODEL, vec![x]).expect("accepted"), want))
+                    .map(|(pending, want)| (pending.wait().and_then(ModelReply::ok), want))
                     .collect::<Vec<_>>()
             })
         })
@@ -75,39 +112,36 @@ fn concurrent_workers_match_the_sequential_path_bitwise() {
     for h in handles {
         for (reply, want) in h.join().expect("client thread") {
             assert_eq!(
-                reply.outputs[0].1, want,
+                reply.expect("served").outputs[0].1,
+                want,
                 "served output differs bitwise from the sequential reference"
             );
         }
     }
     let report = server.shutdown();
-    assert_eq!(report.requests, 24);
-    assert_eq!(report.images, 24);
-    assert_eq!(report.workers_reported, 3);
+    let model = report.model(MODEL).unwrap();
+    assert_eq!(model.requests, 24);
+    assert_eq!(model.images, 24);
+    assert_eq!(report.pool.workers_reported, 3);
 }
 
-/// Starting a server on an uncalibrated quantized graph must calibrate it on
-/// the warmup batch before any worker can take a request.
+/// Registering an uncalibrated quantized graph must calibrate it on the
+/// warmup batch before any worker can take a request.
 #[test]
 fn server_startup_calibrates_before_serving() {
     let (exec, prepared) = quantized_pair();
     assert!(!prepared.is_calibrated(), "calibration must start lazy");
-    let server = InferenceServer::start(
-        Arc::clone(&exec),
-        Arc::clone(&prepared),
-        ServerConfig::default(),
-    );
+    let (server, registry) = serve(exec, Arc::clone(&prepared), 2, BatchPolicy::default());
     assert!(
-        server.prepared().is_calibrated(),
+        prepared.is_calibrated(),
         "workers started on an uncalibrated graph"
     );
     // And the live request path never re-calibrates: the same input twice is
     // bit-identical even with a loud batch in between.
-    let client = server.client();
     let x = probe(7);
-    let a = client.infer(vec![x.clone()]);
-    let _ = client.infer(vec![normal(&[1, 1, 32, 32], 0.0, 10.0, 8)]);
-    let b = client.infer(vec![x]);
+    let a = infer(&registry, x.clone());
+    let _ = infer(&registry, normal(&[1, 1, 32, 32], 0.0, 10.0, 8));
+    let b = infer(&registry, x);
     assert_eq!(a.outputs[0].1, b.outputs[0].1, "prepared state mutated");
     let _ = server.shutdown();
 }
@@ -117,29 +151,27 @@ fn server_startup_calibrates_before_serving() {
 #[test]
 fn bursty_load_coalesces_into_dynamic_batches() {
     let (exec, prepared) = quantized_pair();
-    let server = InferenceServer::start(
+    let (server, registry) = serve(
         exec,
         prepared,
-        ServerConfig {
-            workers: 1,
-            policy: BatchPolicy {
-                max_batch: 4,
-                max_wait: Duration::from_millis(50),
-            },
-            warmup: true,
-            restart_budget: 3,
+        1,
+        BatchPolicy {
+            max_batch: 4,
+            max_wait: Duration::from_millis(50),
         },
     );
-    let client = server.client();
-    let pending: Vec<_> = (0..7).map(|i| client.submit(vec![probe(i)])).collect();
+    let pending: Vec<_> = (0..7)
+        .map(|i| registry.submit(MODEL, vec![probe(i)]).expect("accepted"))
+        .collect();
     for p in pending {
-        let _ = p.wait();
+        assert!(p.wait().and_then(ModelReply::ok).is_some(), "not served");
     }
     let report = server.shutdown();
-    assert_eq!(report.images, 7);
-    assert_eq!(report.batch_histogram, vec![(3, 1), (4, 1)], "expected 4+3");
-    assert_eq!(report.max_batch_observed(), 4);
-    assert!(report.mean_batch > 1.0, "dynamic batching never coalesced");
+    let model = report.model(MODEL).unwrap();
+    assert_eq!(model.images, 7);
+    assert_eq!(model.batch_histogram, vec![(3, 1), (4, 1)], "expected 4+3");
+    assert_eq!(model.max_batch_observed(), 4);
+    assert!(model.mean_batch > 1.0, "dynamic batching never coalesced");
 }
 
 /// A partial batch must not wait forever: the deadline flushes it.
@@ -147,21 +179,16 @@ fn bursty_load_coalesces_into_dynamic_batches() {
 fn a_lone_request_is_flushed_by_the_deadline() {
     let (exec, prepared) = quantized_pair();
     let max_wait = Duration::from_millis(25);
-    let server = InferenceServer::start(
+    let (server, registry) = serve(
         exec,
         prepared,
-        ServerConfig {
-            workers: 1,
-            policy: BatchPolicy {
-                max_batch: 64,
-                max_wait,
-            },
-            warmup: true,
-            restart_budget: 3,
+        1,
+        BatchPolicy {
+            max_batch: 64,
+            max_wait,
         },
     );
-    let client = server.client();
-    let reply = client.infer(vec![probe(3)]);
+    let reply = infer(&registry, probe(3));
     assert_eq!(reply.batch_images, 1);
     assert!(
         reply.latency >= max_wait,
@@ -169,8 +196,9 @@ fn a_lone_request_is_flushed_by_the_deadline() {
         reply.latency
     );
     let report = server.shutdown();
-    assert_eq!(report.batch_histogram, vec![(1, 1)]);
-    assert!(report.queue_wait.max >= max_wait);
+    let model = report.model(MODEL).unwrap();
+    assert_eq!(model.batch_histogram, vec![(1, 1)]);
+    assert!(model.queue_wait.max >= max_wait);
 }
 
 /// Per-request latency accounting covers queue wait plus run time, and the
@@ -178,18 +206,18 @@ fn a_lone_request_is_flushed_by_the_deadline() {
 #[test]
 fn latency_percentiles_are_ordered_and_positive() {
     let (exec, prepared) = quantized_pair();
-    let server = InferenceServer::start(exec, prepared, ServerConfig::default());
-    let client = server.client();
+    let (server, registry) = serve(exec, prepared, 2, BatchPolicy::default());
     for i in 0..16 {
-        let _ = client.infer(vec![probe(i)]);
+        let _ = infer(&registry, probe(i));
     }
     let report = server.shutdown();
-    assert_eq!(report.requests, 16);
-    assert!(report.latency.p50 > Duration::ZERO);
-    assert!(report.latency.p50 <= report.latency.p95);
-    assert!(report.latency.p95 <= report.latency.p99);
-    assert!(report.latency.p99 <= report.latency.max);
-    assert!(report.throughput_rps > 0.0);
+    let model = report.model(MODEL).unwrap();
+    assert_eq!(model.requests, 16);
+    assert!(model.latency.p50 > Duration::ZERO);
+    assert!(model.latency.p50 <= model.latency.p95);
+    assert!(model.latency.p95 <= model.latency.p99);
+    assert!(model.latency.p99 <= model.latency.max);
+    assert!(model.throughput_rps > 0.0);
     // The synthesis cache snapshot rode along (warmup synthesized tensors).
-    assert!(report.synth.misses > 0);
+    assert!(model.synth.misses > 0);
 }
